@@ -141,7 +141,7 @@ for span in place.level place.qp place.flow place.realization realization.wave; 
   grep -q "\"name\":\"$span\"" "$tmp/trace.json" \
     || { echo "trace missing span: $span"; exit 1; }
 done
-for metric in cg.iterations mcf.dijkstra_rounds transport.pivots \
+for metric in cg.iterations mcf.pivots transport.pivots \
               realization.shipped_cells realization.wave_width \
               gc.major_collections gc.heap_words; do
   grep -q "\"$metric\"" "$tmp/metrics.json" \

@@ -349,52 +349,8 @@ let cancel_external_cycles (t : t) =
   in
   strip_cycles ()
 
-(* Greedy local absorption: before the exact flow computation, push each
-   cell group's supply into its *own window's* admissible pieces, cheapest
-   arc first.  Most supply is absorbed where it already sits, leaving the
-   expensive successive-shortest-path phase only the genuine overflow.  The
-   combined flow can be slightly suboptimal (the residual graph acquires
-   negative-reduced-cost twins that the Dijkstra clamps), which is invisible
-   at placement level; [exact] disables the seeding for the ablation bench
-   and the optimality tests. *)
-let greedy_seed (t : t) =
-  let supply = Array.copy t.supply in
-  (* remaining piece capacity, indexed by graph node *)
-  let arcs_of_group = Array.make (Array.length t.groups) [] in
-  Array.iter
-    (fun (a, kind) ->
-      match kind with
-      | Cell_to_piece { group; piece } ->
-        let cost = Graph.cost t.graph a in
-        arcs_of_group.(group) <- (cost, a, piece) :: arcs_of_group.(group)
-      | _ -> ())
-    t.arcs;
-  Array.iteri
-    (fun gi arcs ->
-      let arcs =
-        List.sort
-          (fun (c1, a1, _) (c2, a2, _) ->
-            match Float.compare c1 c2 with 0 -> Int.compare a1 a2 | c -> c)
-          arcs
-      in
-      List.iter
-        (fun (_, a, _) ->
-          let piece_node = Graph.dst t.graph a in
-          let available = -.supply.(piece_node) in
-          let want = supply.(gi) in
-          let push = Float.min want available in
-          if push > eps then begin
-            Graph.push t.graph a push;
-            supply.(gi) <- supply.(gi) -. push;
-            supply.(piece_node) <- supply.(piece_node) +. push
-          end)
-        arcs)
-    arcs_of_group;
-  supply
-
-let solve ?(exact = false) (t : t) =
-  let supply = if exact then t.supply else greedy_seed t in
-  let verdict, mcf_stats = Mcf.solve_stats t.graph ~supply in
+let solve (t : t) =
+  let verdict, mcf_stats = Mcf.solve_stats t.graph ~supply:t.supply in
   (match verdict with Mcf.Feasible _ -> cancel_external_cycles t | Mcf.Infeasible _ -> ());
   let allot = Array.make (Grid.n_pieces t.grid * t.n_classes) 0.0 in
   let externals = ref [] in

@@ -45,6 +45,8 @@ type level = {
   cg_converged : bool;
   mcf_cost : float;  (** [nan] when the verdict was infeasible *)
   mcf_rounds : int;
+      (** network simplex pivots (the field name predates the solver and is
+          kept for schema compatibility) *)
   waves : int;
   shipped_cells : int;
   fallback_cells : int;

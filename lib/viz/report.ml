@@ -410,7 +410,7 @@ let levels_table (levels : R.level list) =
   Buffer.add_string b
     "<table><thead><tr><th>level</th><th>grid</th><th>|W|</th><th>|R|</th>\
      <th>|V|</th><th>|E|</th><th>HPWL</th><th>overflow</th><th>viol</th>\
-     <th>CG it</th><th>residual</th><th>MCF cost</th><th>rounds</th>\
+     <th>CG it</th><th>residual</th><th>MCF cost</th><th>pivots</th>\
      <th>waves</th><th>shipped</th><th>QP</th><th>flow</th><th>realize</th>\
      <th>GC maj</th></tr></thead><tbody>";
   List.iter

@@ -216,23 +216,14 @@ let test_fbp_model_infeasible_detected () =
   | Fbp_flow.Mcf.Infeasible _ -> ()
   | Fbp_flow.Mcf.Feasible _ -> Alcotest.fail "expected infeasible (Theorem 3)"
 
-let test_fbp_greedy_vs_exact () =
-  (* the greedy-seeded flow must stay feasible and near the exact optimum,
-     and both must prescribe the same total area *)
-  let inst = small_instance ~n_cells:500 ~seed:19 () in
-  let _, _, model_g = build_model ~nx:4 inst in
-  let sol_g = Fbp_model.solve model_g in
-  let _, _, model_e = build_model ~nx:4 inst in
-  let sol_e = Fbp_model.solve ~exact:true model_e in
-  (match (sol_g.Fbp_model.verdict, sol_e.Fbp_model.verdict) with
-   | Fbp_flow.Mcf.Feasible _, Fbp_flow.Mcf.Feasible _ -> ()
-   | _ -> Alcotest.fail "both modes must be feasible");
-  let total a = Array.fold_left ( +. ) 0.0 a in
-  Alcotest.(check (float 0.5)) "same prescribed area"
-    (total sol_e.Fbp_model.allot) (total sol_g.Fbp_model.allot);
-  (* the exact residual graph carries a min-cost flow *)
-  Alcotest.(check bool) "exact mode optimal" true
-    (Fbp_flow.Mcf.check_optimal model_e.Fbp_model.graph)
+let test_fbp_flow_optimal () =
+  (* the one solve path is exact: its residual graph has no negative cycle *)
+  let _, _, model = build_model ~nx:4 (small_instance ~n_cells:500 ~seed:19 ()) in
+  (match (Fbp_model.solve model).Fbp_model.verdict with
+   | Fbp_flow.Mcf.Feasible _ -> ()
+   | Fbp_flow.Mcf.Infeasible _ -> Alcotest.fail "expected feasible");
+  Alcotest.(check bool) "min-cost flow" true
+    (Fbp_flow.Mcf.check_optimal model.Fbp_model.graph)
 
 let test_fbp_externals_acyclic () =
   let inst = small_instance ~n_cells:800 ~seed:11 () in
@@ -517,7 +508,7 @@ let suite =
     Alcotest.test_case "fbp model size linear in windows" `Quick test_fbp_model_size_linear;
     Alcotest.test_case "fbp model feasible + conserving" `Quick test_fbp_model_feasible_and_conserving;
     Alcotest.test_case "fbp model detects infeasible" `Quick test_fbp_model_infeasible_detected;
-    Alcotest.test_case "fbp greedy vs exact flow" `Quick test_fbp_greedy_vs_exact;
+    Alcotest.test_case "fbp flow optimal" `Quick test_fbp_flow_optimal;
     Alcotest.test_case "fbp externals acyclic" `Quick test_fbp_externals_acyclic;
     Alcotest.test_case "realization assigns everything" `Quick test_realization_assigns_everything;
     Alcotest.test_case "realization follows flow prescriptions" `Quick

@@ -212,6 +212,167 @@ let prop_mcf_optimal_and_conserving =
         && !ok_balance
         && Mcf.check_optimal g)
 
+(* Random general MCF instances: up to 8 nodes, arbitrary arcs with float
+   costs and capacities, zero-cost 2-cycles (like the FBP model's external
+   arcs), and supplies that may exceed what the arcs can carry. *)
+let random_mcf =
+  QCheck.Gen.(
+    int_range 2 8 >>= fun n ->
+    let node = int_bound (n - 1) in
+    let arc = quad node node (float_range 0.0 10.0) (float_range 0.1 10.0) in
+    let two_cycle = triple node node (float_range 0.1 10.0) in
+    let balance = float_range (-6.0) 6.0 >|= fun b -> if Float.abs b < 2.0 then 0.0 else b in
+    quad (return n) (list_size (int_range 0 (3 * n)) arc) (list_size (int_range 0 3) two_cycle)
+      (array_size (return n) balance))
+
+let print_mcf (n, arcs, cycles, supply) =
+  Printf.sprintf "n=%d arcs=[%s] cycles=[%s] supply=[%s]" n
+    (String.concat "; "
+       (List.map (fun (u, v, c, k) -> Printf.sprintf "%d->%d c%g k%g" u v c k) arcs))
+    (String.concat "; " (List.map (fun (u, v, k) -> Printf.sprintf "%d<->%d k%g" u v k) cycles))
+    (String.concat "; " (Array.to_list (Array.map string_of_float supply)))
+
+let build_mcf (n, arcs, cycles, _) ~extra =
+  let g = Graph.create (n + extra) in
+  List.iter (fun (u, v, cost, cap) -> ignore (Graph.add_edge g ~u ~v ~cap ~cost)) arcs;
+  List.iter
+    (fun (u, v, cap) ->
+      ignore (Graph.add_edge g ~u ~v ~cap ~cost:0.0);
+      ignore (Graph.add_edge g ~u:v ~v:u ~cap ~cost:0.0))
+    cycles;
+  g
+
+(* Routable supply by max flow: super source -> supplies, deficits -> super
+   sink, the instance's arcs in between. *)
+let max_routable ((n, _, _, supply) as inst) =
+  let g = build_mcf inst ~extra:2 in
+  let s = n and t = n + 1 in
+  Array.iteri
+    (fun v b ->
+      if b > 0.0 then ignore (Graph.add_edge g ~u:s ~v ~cap:b ~cost:0.0)
+      else if b < 0.0 then ignore (Graph.add_edge g ~u:v ~v:t ~cap:(-.b) ~cost:0.0))
+    supply;
+  (Maxflow.solve g ~source:s ~sink:t).Maxflow.value
+
+let prop_mcf_general =
+  QCheck.Test.make ~name:"mcf general graphs: conserving, optimal, certified, max routed"
+    ~count:300
+    (QCheck.make ~print:print_mcf random_mcf)
+    (fun ((_, _, _, supply) as inst) ->
+      let g = build_mcf inst ~extra:0 in
+      let verdict, stats = Mcf.solve_stats g ~supply in
+      let total = Array.fold_left (fun a b -> if b > 0.0 then a +. b else a) 0.0 supply in
+      let expected = total -. max_routable inst in
+      let tol = 1e-7 *. (1.0 +. total) in
+      let unrouted, exact =
+        match verdict with
+        | Mcf.Feasible { cost } ->
+          let recomputed = ref 0.0 in
+          Graph.iter_edges g (fun a -> recomputed := !recomputed +. (Graph.flow g a *. Graph.cost g a));
+          if Float.abs (cost -. !recomputed) > 1e-9 *. (1.0 +. cost) then
+            QCheck.Test.fail_reportf "cost %g <> recomputed %g" cost !recomputed;
+          (0.0, true)
+        | Mcf.Infeasible { unrouted } -> (unrouted, false)
+      in
+      if Float.abs (unrouted -. expected) > tol then
+        QCheck.Test.fail_reportf "unrouted %.12g, max flow leaves %.12g" unrouted expected;
+      (match Mcf.check_flow g ~supply ~exact with
+       | Ok () -> ()
+       | Error e -> QCheck.Test.fail_reportf "check_flow: %s" e);
+      (match Mcf.check_potentials g ~supply ~potentials:stats.Mcf.potentials with
+       | Ok () -> ()
+       | Error e -> QCheck.Test.fail_reportf "certificate: %s" e);
+      Mcf.check_optimal g)
+
+(* Demands are upper bounds on the sink side: unused demand must not turn
+   into supply that a transshipment or deficit node forwards over
+   zero-cost arcs (what injecting the slack root -> t would allow). *)
+let test_mcf_slack_stays_at_deficits () =
+  let g = Graph.create 5 in
+  List.iter
+    (fun (u, v, cost, cap) -> ignore (Graph.add_edge g ~u ~v ~cap ~cost))
+    [ (1, 2, 1.0, 3.0); (2, 4, 0.0, 5.0); (1, 3, 0.0, 5.0); (1, 4, 0.0, 3.0);
+      (2, 3, 0.0, 1.0); (0, 3, 3.0, 1.0); (0, 4, 0.0, 3.0) ];
+  let supply = [| 1.0; 1.0; 0.0; -2.0; -3.0 |] in
+  (match Mcf.solve g ~supply with
+  | Mcf.Feasible { cost } -> check_float "zero-cost routes" 0.0 cost
+  | Mcf.Infeasible _ -> Alcotest.fail "expected feasible");
+  match Mcf.check_flow g ~supply ~exact:true with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e
+
+(* An infeasible instance: supply node 0 reaches the sink only through
+   supply node 1.  What cannot be routed stays at its own node (a supply
+   node never absorbs another's flow), and the unrouted amount is exact. *)
+let test_mcf_unrouted_stays_home () =
+  let g = Graph.create 3 in
+  ignore (Graph.add_edge g ~u:0 ~v:1 ~cap:10.0 ~cost:0.0);
+  ignore (Graph.add_edge g ~u:1 ~v:2 ~cap:1.0 ~cost:1.0);
+  let supply = [| 3.0; 2.0; -5.0 |] in
+  (match Mcf.solve g ~supply with
+  | Mcf.Infeasible { unrouted } -> check_float "unrouted" 4.0 unrouted
+  | Mcf.Feasible _ -> Alcotest.fail "expected infeasible");
+  (match Mcf.check_flow g ~supply ~exact:false with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  (* here an artificial arc leaves the tree full and must be priced again
+     later; otherwise unrouted supply lands on a transshipment node *)
+  let inst =
+    ( 5,
+      [ (1, 2, 5.06503, 7.08016); (3, 0, 2.57033, 9.32814); (4, 2, 6.34416, 8.17434);
+        (2, 3, 0.776393, 3.54937); (2, 2, 1.4619, 5.51521); (3, 0, 7.13458, 0.594067);
+        (2, 4, 0.24196, 1.56761); (2, 1, 7.10045, 8.98849) ],
+      [ (0, 1, 9.22964); (0, 1, 8.85814); (0, 3, 3.44493) ],
+      [| 5.94882986187; 3.67271276087; 2.36418272556; -5.79878182785; 0.0 |] )
+  in
+  let _, _, _, supply = inst in
+  let g = build_mcf inst ~extra:0 in
+  let total = Array.fold_left (fun a b -> if b > 0.0 then a +. b else a) 0.0 supply in
+  (match Mcf.solve g ~supply with
+  | Mcf.Infeasible { unrouted } ->
+    check_float "unrouted = total - max flow" (total -. max_routable inst) unrouted
+  | Mcf.Feasible _ -> Alcotest.fail "expected infeasible");
+  match Mcf.check_flow g ~supply ~exact:false with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e
+
+(* Flow already on the graph is discarded: a cheapest-arc-first seed that
+   fills the piece node 2 with supply 0 would strand supply 1, whose only
+   arc goes there.  The solve must undo it and route both. *)
+let test_mcf_discards_seeded_flow () =
+  let g = Graph.create 4 in
+  let a02 = Graph.add_edge g ~u:0 ~v:2 ~cap:5.0 ~cost:0.0 in
+  let a03 = Graph.add_edge g ~u:0 ~v:3 ~cap:5.0 ~cost:1.0 in
+  ignore (Graph.add_edge g ~u:1 ~v:2 ~cap:5.0 ~cost:0.0);
+  Graph.push g a02 1.0;
+  let supply = [| 1.0; 1.0; -1.0; -1.0 |] in
+  (match Mcf.solve g ~supply with
+  | Mcf.Feasible { cost } -> check_float "seed undone" 1.0 cost
+  | Mcf.Infeasible _ -> Alcotest.fail "seeded flow caused a spurious infeasibility");
+  check_float "0 -> 3 carries supply 0" 1.0 (Graph.flow g a03);
+  check_float "0 -> 2 emptied" 0.0 (Graph.flow g a02)
+
+(* The certificate rejects a conserving but suboptimal flow: all supply
+   over the expensive route of [test_mcf_known]'s graph. *)
+let test_mcf_certificate_rejects_suboptimal () =
+  let g = Graph.create 4 in
+  ignore (Graph.add_edge g ~u:0 ~v:1 ~cap:2.0 ~cost:1.0);
+  let a02 = Graph.add_edge g ~u:0 ~v:2 ~cap:10.0 ~cost:3.0 in
+  ignore (Graph.add_edge g ~u:1 ~v:3 ~cap:10.0 ~cost:1.0);
+  let a23 = Graph.add_edge g ~u:2 ~v:3 ~cap:10.0 ~cost:1.0 in
+  let supply = [| 5.0; 0.0; 0.0; -5.0 |] in
+  let _, stats = Mcf.solve_stats g ~supply in
+  let potentials = stats.Mcf.potentials in
+  Alcotest.(check bool) "optimum certified" true
+    (Result.is_ok (Mcf.check_potentials g ~supply ~potentials));
+  Graph.reset_flow g;
+  Graph.push g a02 5.0;
+  Graph.push g a23 5.0;
+  Alcotest.(check bool) "suboptimal flow conserves" true
+    (Result.is_ok (Mcf.check_flow g ~supply ~exact:true));
+  Alcotest.(check bool) "suboptimal flow fails the certificate" true
+    (Result.is_error (Mcf.check_potentials g ~supply ~potentials))
+
 (* ---------- Transport ---------- *)
 
 let mk_problem sizes caps cost = { Transport.sizes; capacities = caps; cost }
@@ -353,6 +514,12 @@ let suite =
     Alcotest.test_case "mcf demand slack" `Quick test_mcf_demand_slack;
     Alcotest.test_case "mcf rejects negative cost" `Quick test_mcf_rejects_negative_cost;
     qcheck prop_mcf_optimal_and_conserving;
+    qcheck prop_mcf_general;
+    Alcotest.test_case "mcf slack stays at deficits" `Quick test_mcf_slack_stays_at_deficits;
+    Alcotest.test_case "mcf unrouted stays home" `Quick test_mcf_unrouted_stays_home;
+    Alcotest.test_case "mcf discards seeded flow" `Quick test_mcf_discards_seeded_flow;
+    Alcotest.test_case "mcf certificate rejects suboptimal" `Quick
+      test_mcf_certificate_rejects_suboptimal;
     Alcotest.test_case "transport simple" `Quick test_transport_simple;
     Alcotest.test_case "transport inadmissible" `Quick test_transport_inadmissible;
     Alcotest.test_case "transport fractional split" `Quick test_transport_fractional_split;
