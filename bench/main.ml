@@ -116,6 +116,12 @@ let ablation_table () =
 
 (* --------------------------------------------------------- parallel scan *)
 
+(* Config for one entry of a domain sweep.  The sweep's counts enter from
+   outside the library, so they get the hardware clamp: on a 2-core box
+   the 4- and 8-domain entries run at 2. *)
+let sweep_config domains =
+  { Fbp_core.Config.default with domains = Fbp_util.Pool.clamp_to_hardware domains }
+
 let parallel_table () =
   let t =
     Fbp_util.Table.create
@@ -127,7 +133,7 @@ let parallel_table () =
   let d = Fbp_workloads.Designs.instantiate spec in
   let inst = Fbp_movebound.Instance.unconstrained d in
   let run domains =
-    match Fbp_core.Placer.place ~config:{ Fbp_core.Config.default with domains } inst with
+    match Fbp_core.Placer.place ~config:(sweep_config domains) inst with
     | Error e -> failwith (Fbp_resilience.Fbp_error.to_string e)
     | Ok rep ->
       let rt =
@@ -527,12 +533,12 @@ let emit_parallel_json () =
   let refreeze_hits = Fbp_obs.Obs.counter_value "netmodel.refreeze_hits" in
   Fbp_obs.Obs.disable ();
   (* ---- composite QP round, seed sequential vs new at 8 domains ---- *)
-  let prev_domains = Fbp_util.Pool.get_default_domains () in
-  Fbp_util.Pool.set_default_domains 8;
-  let asm_cached8_s = time rounds refreeze_round in
-  let cg_new8_x_s = time cg_reps (fun () -> new_cg ax bxr) in
-  let cg_new8_y_s = time cg_reps (fun () -> new_cg ay byr) in
-  Fbp_util.Pool.set_default_domains prev_domains;
+  let asm_cached8_s, cg_new8_x_s, cg_new8_y_s =
+    Fbp_util.Pool.with_domains 8 (fun () ->
+        ( time rounds refreeze_round,
+          time cg_reps (fun () -> new_cg ax bxr),
+          time cg_reps (fun () -> new_cg ay byr) ))
+  in
   let qp_seed_s = asm_seed_s +. cg_seed_x_s +. cg_seed_y_s in
   let qp_new8_s = asm_cached8_s +. cg_new8_x_s +. cg_new8_y_s in
   (* ---- scaling sweep: full placer, bitwise HPWL equality ---- *)
@@ -541,14 +547,7 @@ let emit_parallel_json () =
     Fbp_movebound.Instance.unconstrained (Fbp_workloads.Designs.instantiate sspec)
   in
   let run_scale domains =
-    Fbp_util.Pool.set_default_domains domains;
-    let r =
-      Fbp_workloads.Runner.run_fbp
-        ~config:{ Fbp_core.Config.default with domains }
-        sinst
-    in
-    Fbp_util.Pool.set_default_domains prev_domains;
-    match r with
+    match Fbp_workloads.Runner.run_fbp ~config:(sweep_config domains) sinst with
     | Error e -> Error (Fbp_resilience.Fbp_error.to_string e)
     | Ok m ->
       let qp, real =
@@ -559,15 +558,11 @@ let emit_parallel_json () =
       in
       Ok (m.Fbp_workloads.Runner.hpwl, qp, real, m.Fbp_workloads.Runner.global_time)
   in
-  (* steady-state sweep: spawn the workers and run one discarded warmup
-     first, so per-domain entries no longer fold pool cold-start into
-     their timings (the PR5 sweep did — it spawned 7 workers inside the
-     timed entries) *)
   (* steady-state sweep: pre-spawn the (hardware-clamped) workers and run
      one discarded warmup so per-domain entries no longer fold pool
      cold-start into their timings (the PR5 sweep did — it spawned its
      workers inside the timed entries) *)
-  Fbp_util.Pool.prewarm 8;
+  Fbp_util.Pool.prewarm (Fbp_util.Pool.clamp_to_hardware 8);
   ignore (run_scale 8);
   let base = run_scale 1 in
   let all_match = ref true in
@@ -631,10 +626,12 @@ let emit_parallel_json () =
 (* BENCH_pr7.json: the realization anti-scaling fix gate.  A 1/2/4/8-domain
    sweep of the full placer on the design where PR5 regressed ("rabe"),
    measured steady-state: workers pre-warmed, one discarded warmup run per
-   domain count, best-of-[reps] wall clocks.  Every entry must be bitwise
-   HPWL-identical to the 1-domain run, and on real multi-core hardware
-   8-domain realization_s/global_s must beat 1-domain (check.sh enforces
-   both; the time gate only when >= 4 CPUs are present).
+   domain count, best-of-[reps] wall clocks.  Each count is clamped to the
+   hardware ([sweep_config]); entries are labelled by the count requested.
+   Every entry must be bitwise HPWL-identical to the 1-domain run, and on
+   real multi-core hardware 8-domain realization_s/global_s must beat
+   1-domain (check.sh enforces both; the time gate only when >= 4 CPUs
+   are present).
 
    FBP_BENCH_JSON7 overrides the output path; FBP_BENCH_SMOKE shrinks the
    repetition count. *)
@@ -651,18 +648,10 @@ let emit_realization_scaling_json () =
     Fbp_movebound.Instance.unconstrained
       (Fbp_workloads.Designs.instantiate spec)
   in
-  Fbp_util.Pool.prewarm 8;
-  let prev_domains = Fbp_util.Pool.get_default_domains () in
+  Fbp_util.Pool.prewarm (Fbp_util.Pool.clamp_to_hardware 8);
   let d0_disp = Fbp_util.Pool.n_dispatches () in
   let run_once domains =
-    Fbp_util.Pool.set_default_domains domains;
-    let r =
-      Fbp_workloads.Runner.run_fbp
-        ~config:{ Fbp_core.Config.default with domains }
-        inst
-    in
-    Fbp_util.Pool.set_default_domains prev_domains;
-    match r with
+    match Fbp_workloads.Runner.run_fbp ~config:(sweep_config domains) inst with
     | Error e -> Error (Fbp_resilience.Fbp_error.to_string e)
     | Ok m ->
       let qp, real =
@@ -753,10 +742,10 @@ let emit_realization_scaling_json () =
 (* BENCH_pr8.json: the PR 8 domain-profiler numbers.  The profiler is an
    observer, so the bench measures exactly that claim:
 
-   - "off_time" / "on_time": best-of-reps full placer runs (4 domains, no
-     hardware clamp so the helpers exist even on a 1-core container) with
-     the profiler disarmed vs armed, same config — "overhead_pct" is the
-     armed tax and check.sh gates it below 5%;
+   - "off_time" / "on_time": best-of-reps full placer runs (4 domains, a
+     library count and so unclamped: the helpers exist even on a 1-core
+     container) with the profiler disarmed vs armed, same config —
+     "overhead_pct" is the armed tax and check.sh gates it below 5%;
    - "hpwl_match": bitwise HPWL equality between the two, the
      observer-property check;
    - "disabled_probe_ns": ns per [Profiler.poll] call when not running —
@@ -781,7 +770,7 @@ let emit_profile_json () =
     Fbp_movebound.Instance.unconstrained
       (Fbp_workloads.Designs.instantiate spec)
   in
-  let config = { Fbp_core.Config.default with domains = 4; hw_clamp = false } in
+  let config = { Fbp_core.Config.default with domains = 4 } in
   let place () =
     match Fbp_workloads.Runner.run_fbp ~config inst with
     | Error e -> Error (Fbp_resilience.Fbp_error.to_string e)

@@ -90,6 +90,27 @@ let check_cmd =
   Cmd.v (Cmd.info "check" ~doc:"Movebound feasibility check (Theorems 1-2).")
     Term.(const run $ input $ movebounds)
 
+(* The one domain-count option, shared by [place] and [profile].  A count
+   entering from the command line is clamped to the hardware; the placer
+   then runs every layer at exactly that count. *)
+let domains =
+  let positive =
+    let parse s =
+      match int_of_string_opt s with
+      | Some n when n >= 1 -> Ok n
+      | _ -> Error (`Msg (Printf.sprintf "expected a domain count >= 1, got %S" s))
+    in
+    Arg.conv (parse, Format.pp_print_int)
+  in
+  Term.(
+    const Fbp_util.Pool.clamp_to_hardware
+    $ Arg.(value & opt positive (Fbp_util.Pool.get_default_domains ())
+           & info [ "domains"; "j" ] ~docv:"N"
+               ~doc:"Domains for every parallel layer (QP, CG kernels, \
+                     realization), clamped to the core count.  The default \
+                     is $(b,FBP_DOMAINS) when set, else 8, under the same \
+                     clamp."))
+
 (* --------------------------------------------------------------- place *)
 
 let place_cmd =
@@ -100,9 +121,6 @@ let place_cmd =
   in
   let movebounds =
     Arg.(value & opt int 0 & info [ "movebounds" ] ~doc:"Attach N movebounds first.")
-  in
-  let domains =
-    Arg.(value & opt int 1 & info [ "domains"; "j" ] ~doc:"Parallel domains (FBP).")
   in
   let svg = Arg.(value & opt (some string) None & info [ "svg" ] ~doc:"Plot output.") in
   let deadline =
@@ -264,11 +282,6 @@ let profile_cmd =
   let movebounds =
     Arg.(value & opt int 0 & info [ "movebounds" ] ~doc:"Attach N movebounds first.")
   in
-  let domains =
-    (* default 4 and no hardware clamp: the point of profiling is to see
-       the helper domains, even on a small container *)
-    Arg.(value & opt int 4 & info [ "domains"; "j" ] ~doc:"Parallel domains.")
-  in
   let json =
     Arg.(value & opt (some string) None
          & info [ "json" ]
@@ -293,9 +306,7 @@ let profile_cmd =
       fail_typed e
     | Ok d ->
       let inst = instance_of d ~movebounds in
-      let config =
-        { Fbp_core.Config.default with domains; hw_clamp = false }
-      in
+      let config = { Fbp_core.Config.default with domains } in
       let result =
         try Fbp_workloads.Runner.run_fbp ~config inst
         with e -> Error (Err.of_exn ~site:"cli.profile" e)

@@ -8,7 +8,7 @@
    escape it lexically (try/match-with-exception handlers are applied at
    record time), which functions it references (the may-call edge set used
    by the fixpoint), and which parallel regions it opens (closures handed
-   to the Pool/Parallel entry points, with their captured-state profile).
+   to the Pool entry points, with their captured-state profile).
 
    Interproc combines these local summaries into whole-program signatures;
    this module never looks across function boundaries. *)
@@ -202,8 +202,7 @@ let region_entries =
   [
     ("Fbp_util.Pool.run_chunks", 0); ("Fbp_util.Pool.fork2", 0);
     ("Fbp_util.Pool.reduce", 0); ("Fbp_util.Pool.lease_run", 1);
-    ("Fbp_util.Pool.set_profile_hook", 0); ("Fbp_util.Parallel.map_array", 0);
-    ("Fbp_util.Parallel.iter_array", 0); ("Fbp_util.Parallel.init", 1);
+    ("Fbp_util.Pool.set_profile_hook", 0);
   ]
 
 (* Stateful containers whose free-variable hand-off into a parallel

@@ -11,7 +11,7 @@ open Ppxlib
 let catalogue =
   [
     ( "domain-safety",
-      "mutable state captured by closures passed to Fbp_util.Parallel; use \
+      "mutable state captured by closures passed to Fbp_util.Pool; use \
        Atomic/Mutex or pass immutable snapshots" );
     ( "float-discipline",
       "polymorphic compare/equality on float-bearing values; use monomorphic \
@@ -307,9 +307,6 @@ let expression_rules ~sc ~(add : adder) st =
 
 (* --------------------------------------------------- domain-safety rule *)
 
-(* Names of Fbp_util.Parallel entry points that take a work closure. *)
-let parallel_entries = [ "map_array"; "iter_array"; "init" ]
-
 (* Fbp_util.Pool entry points whose closures run on worker domains.  Every
    positional argument is a closure there ([fork2] takes two, [reduce]'s
    combiner also runs on workers; [set_profile_hook]'s callback fires on
@@ -319,7 +316,6 @@ let pool_entries =
 
 let is_parallel_entry parts =
   match List.rev parts with
-  | fn :: "Parallel" :: _ -> one_of parallel_entries fn
   | fn :: "Pool" :: _ -> one_of pool_entries fn
   | _ -> false
 
@@ -384,7 +380,7 @@ let module_level_mutables ~(add : adder) st =
   items st
 
 (* Every [let name = expr] in the file (any nesting), for resolving a
-   function passed by name — or partially applied — to a Parallel entry
+   function passed by name — or partially applied — to a Pool entry
    point.  Shadowing keeps the last binding, which is good enough for a
    lint. *)
 let binding_env st =
@@ -531,7 +527,7 @@ let check_closure_body ~report bound0 body =
   in
   walk bound0 body
 
-(* Analyze the work argument of a Parallel entry point.  The argument may
+(* Analyze the work argument of a Pool entry point.  The argument may
    be a literal [fun], a named function, or a partial application of one;
    for the latter two we resolve the name through the whole-file binding
    environment.  All of the function's own parameters count as bound —
@@ -577,23 +573,12 @@ let domain_safety ~closure_capture ~(add : adder) st =
         (match e.pexp_desc with
         | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, args)
           when is_parallel_entry (lid_parts txt) ->
-          let entry =
-            match List.rev (lid_parts txt) with f :: _ -> f | [] -> ""
-          in
-          let nolabel =
+          (* every positional argument of a pool entry point is a
+             closure that runs on worker domains *)
+          let works =
             List.filter_map
               (fun (l, a) -> match l with Nolabel -> Some a | _ -> None)
               args
-          in
-          let works =
-            match (entry, nolabel) with
-            | "init", _ :: f :: _ -> [ f ]
-            | ( ( "run_chunks" | "fork2" | "reduce" | "lease_run"
-                | "set_profile_hook" ),
-                fs ) ->
-              fs
-            | _, f :: _ -> [ f ]
-            | _ -> []
           in
           let report loc msg =
             add ~rule:"domain-safety" ~loc

@@ -11,10 +11,7 @@ type t = {
   cg_tol : float;
   cg_max_iter : int;
   coarse_span : int;  (* realization window reaches this many windows out *)
-  domains : int;  (* parallel domains for realization (1 = sequential) *)
-  hw_clamp : bool;  (* clamp [domains] to physical cores in hot paths;
-                       results are identical either way — disable only to
-                       exercise parallel paths on small machines (tests) *)
+  domains : int;  (* domain count for every layer (1 = single-threaded) *)
   local_qp : bool;  (* run the local QP connectivity step in realization *)
   capacity_margin : float;  (* flow capacities derated for legalizability *)
   deadline : float option;  (* wall-clock budget (s) for global placement *)
@@ -33,7 +30,6 @@ let default =
     cg_max_iter = 300;
     coarse_span = 1;
     domains = Fbp_util.Pool.get_default_domains ();
-    hw_clamp = true;
     local_qp = true;
     capacity_margin = 0.94;
     deadline = None;

@@ -10,14 +10,13 @@ type t = {
   cg_max_iter : int;
   coarse_span : int;  (** realization window reach, in windows *)
   domains : int;
-      (** parallel domains for realization (1 = sequential).  The default
-          follows {!Fbp_util.Pool.get_default_domains}, i.e. [FBP_DOMAINS]
-          when set.  Results are bit-identical at any value. *)
-  hw_clamp : bool;
-      (** clamp [domains] to {!Fbp_util.Pool.hardware_domains} in hot
-          paths — domains beyond the core count only time-slice and add
-          wakeup latency.  Results are bit-identical either way; disable
-          to force parallel code paths on small machines (tests do). *)
+      (** domain count for every layer of a run: the QP axis solves, the
+          CG/SpMV kernels, realization and repartitioning (1 =
+          single-threaded).  Used exactly as given — the hardware clamp
+          applies only where a count enters from outside
+          ({!Fbp_util.Pool.clamp_to_hardware}).  The default is
+          {!Fbp_util.Pool.get_default_domains}.  Results are
+          bit-identical at any value. *)
   local_qp : bool;  (** run the local QP connectivity step in realization *)
   capacity_margin : float;
       (** flow capacities derated for legalizability; automatic fallback to

@@ -147,6 +147,7 @@ exception Abort of Err.t
 
 let place ?(config = Config.default) ?on_level ?fallback
     (inst0 : Fbp_movebound.Instance.t) =
+  Fbp_util.Pool.with_domains config.Config.domains @@ fun () ->
   match Fbp_movebound.Instance.normalize inst0 with
   | Error e -> Error (Err.Invalid_input ("movebound normalization failed: " ^ e))
   | Ok inst ->

@@ -73,7 +73,11 @@ val n_levels : Config.t -> Fbp_netlist.Design.t -> int
     drop is reported as a typed [Error] instead — including the Theorem 3
     infeasibility certificate ([Infeasible_flow]).  [Error] is also
     returned (in both modes) when movebound normalization fails or the
-    bisection fallback itself fails. *)
+    bisection fallback itself fails.
+
+    Every layer — QP, CG kernels, realization, the fallback — runs at
+    [config.domains] (see {!Fbp_util.Pool.with_domains}); [1] is
+    single-threaded. *)
 val place :
   ?config:Config.t ->
   ?on_level:(level_report -> unit) ->

@@ -15,22 +15,15 @@ type stats = {
   converged : bool;  (* both CG solves (x and y) converged *)
 }
 
-let env_int name default =
-  match Sys.getenv_opt name with
-  | None -> default
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    | Some n when n >= 0 -> n
-    | _ -> default)
-
 (* Below this many variables the two axis solves run sequentially: a CG on
    a small system finishes in less time than a cross-domain wakeup costs,
    so [fork2] only adds latency (BENCH_pr5: qp_s *rose* from 1 to 4
    domains on a ~500-cell design).  Results are bit-identical either way —
    the x and y systems are independent. *)
-let qp_seq_vars = env_int "FBP_QP_SEQ_VARS" 4096
+let qp_seq_vars = 4096
 
 let solve_system (cfg : Config.t) (sys : Netmodel.system) (pos : Placement.t) =
+  Fbp_util.Pool.with_domains cfg.Config.domains @@ fun () ->
   let nv = sys.Netmodel.n_vars in
   let x = Array.make nv 0.0 and y = Array.make nv 0.0 in
   (* warm start from current positions; star vars start at the mean of their
@@ -51,7 +44,7 @@ let solve_system (cfg : Config.t) (sys : Netmodel.system) (pos : Placement.t) =
       ~tol:cfg.Config.cg_tol a b v
   in
   let sx, sy =
-    if nv < qp_seq_vars || Fbp_util.Pool.hardware_domains < 2 then
+    if nv < qp_seq_vars then
       ( solve sys.Netmodel.ax sys.Netmodel.bx x (),
         solve sys.Netmodel.ay sys.Netmodel.by y () )
     else

@@ -10,17 +10,19 @@ type stats = {
 }
 
 (** Solve an assembled system, writing cell positions back into the
-    placement (star variables are discarded).  The x- and y-axis CG solves
-    run concurrently on the domain pool; metrics are recorded after the
-    join in fixed x-then-y order, so observation streams stay
+    placement (star variables are discarded).  All pool work runs at
+    [cfg.domains]: the x- and y-axis CG solves run concurrently when that
+    is at least 2 and the system is large enough; metrics are recorded
+    after the join in fixed x-then-y order, so observation streams stay
     deterministic. *)
 val solve_system : Config.t -> Netmodel.system -> Placement.t -> stats
 
 (** All movable cell ids of a netlist. *)
 val all_movable : Netlist.t -> int array
 
-(** Global QP over every movable cell.  [cache] enables symbolic-structure
-    reuse across rounds (see {!Netmodel.cache}). *)
+(** Global QP over every movable cell, solved by {!solve_system}.  [cache]
+    enables symbolic-structure reuse across rounds (see
+    {!Netmodel.cache}). *)
 val solve_global :
   Config.t -> Netlist.t -> Placement.t ->
   ?cache:Netmodel.cache ->

@@ -50,25 +50,16 @@ type result = {
 
 let eps = 1e-7
 
-let env_int name default =
-  match Sys.getenv_opt name with
-  | None -> default
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    | Some n when n >= 0 -> n
-    | _ -> default)
-
 (* Waves whose total cell count is below this run on the calling domain:
    a handful of tiny transportation problems finishes before a worker
    wakeup would even land.  Most realization waves are this small — the
    per-wave fork/join on them is what made PR5 anti-scale. *)
-let seq_wave_cells = env_int "FBP_REAL_SEQ_CELLS" 512
+let seq_wave_cells = 512
 
 (* Target cells (not nodes) per parallel chunk.  Nodes are wildly
    heterogeneous — one 300-cell node costs more than fifty 2-cell ones —
-   so chunking by node count (what [Parallel.map_array] did) starves some
-   domains and overloads others. *)
-let wave_grain_cells = env_int "FBP_REAL_GRAIN_CELLS" 128
+   so chunking by node count starves some domains and overloads others. *)
+let wave_grain_cells = 128
 
 let max_wave_chunks = 64
 
@@ -101,6 +92,7 @@ let realize ?(on_step : (step -> unit) option) (cfg : Config.t)
     (inst : Fbp_movebound.Instance.t) (regions : Fbp_movebound.Regions.t)
     (sol : Fbp_model.solution) (pos : Placement.t)
     ~(cell_nets : int list array) =
+  Fbp_util.Pool.with_domains cfg.Config.domains @@ fun () ->
   let model = sol.Fbp_model.model in
   let grid = model.Fbp_model.grid in
   let nl = inst.Fbp_movebound.Instance.design.Design.netlist in
@@ -418,22 +410,10 @@ let realize ?(on_step : (step -> unit) option) (cfg : Config.t)
   in
   (* piece loads for the overfill audit *)
   let piece_load = Array.make (Grid.n_pieces grid) 0.0 in
-  (* Clamp to physical cores: beyond them, extra domains only time-slice
-     and add wakeup latency (results are domain-count-invariant anyway).
-     One resident lease serves every wave — workers park between waves
-     instead of paying a fork/join pair per wave. *)
-  let eff_domains =
-    if cfg.Config.hw_clamp then
-      min cfg.Config.domains Fbp_util.Pool.hardware_domains
-    else cfg.Config.domains
-  in
-  let lease =
-    if eff_domains > 1 then Some (Fbp_util.Pool.lease ~domains:eff_domains ())
-    else None
-  in
-  let helpers =
-    match lease with Some l -> Fbp_util.Pool.lease_helpers l | None -> 0
-  in
+  (* One resident lease at the pool's count serves every wave — workers
+     park between waves instead of paying a fork/join pair per wave. *)
+  let lease = Fbp_util.Pool.lease () in
+  let helpers = Fbp_util.Pool.lease_helpers lease in
   let d0 = Fbp_util.Pool.n_dispatches () in
   (* Chunk-private net-dedup scratches, persistent across waves (slot [c]
      is only ever touched by the owner of chunk [c - 1]; the lease's
@@ -456,7 +436,6 @@ let realize ?(on_step : (step -> unit) option) (cfg : Config.t)
     Fbp_obs.Obs.count ~n:total_cells "realization.snapshot_cells";
     let out = Array.make n_nodes ((0, 0), [||], None) in
     if helpers > 0 && n_nodes > 1 && total_cells >= seq_wave_cells then begin
-      let l = Option.get lease in
       (* contiguous chunks balanced by cumulative cell count *)
       let max_k = min max_wave_chunks (4 * (helpers + 1)) in
       let target = max wave_grain_cells (1 + (total_cells / max_k)) in
@@ -471,7 +450,7 @@ let realize ?(on_step : (step -> unit) option) (cfg : Config.t)
           acc := 0
         end
       done;
-      Fbp_util.Pool.lease_run l ~n_chunks:!k (fun c ->
+      Fbp_util.Pool.lease_run lease ~n_chunks:!k (fun c ->
           let scratch = scratch_for (c + 1) in
           for i = starts.(c) to starts.(c + 1) - 1 do
             out.(i) <- process_node ~scratch wave_arr.(i)
@@ -489,9 +468,7 @@ let realize ?(on_step : (step -> unit) option) (cfg : Config.t)
   in
   Fun.protect
     ~finally:(fun () ->
-      (match lease with
-      | Some l -> Fbp_util.Pool.release_lease l
-      | None -> ());
+      Fbp_util.Pool.release_lease lease;
       Fbp_obs.Obs.count
         ~n:(Fbp_util.Pool.n_dispatches () - d0)
         "pool.dispatches")
@@ -502,7 +479,7 @@ let realize ?(on_step : (step -> unit) option) (cfg : Config.t)
         ~args:(fun () ->
           [ ("wave", string_of_int wi);
             ("nodes", string_of_int (List.length wave));
-            ("domains", string_of_int eff_domains) ])
+            ("domains", string_of_int cfg.Config.domains) ])
         (fun () ->
       Fbp_obs.Obs.observe "realization.wave_width" (float_of_int (List.length wave));
       let wave_arr = Array.of_list (List.map node_input wave) in

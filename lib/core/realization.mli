@@ -32,8 +32,9 @@ val snapshot :
 
 (** Realize the flow, updating [pos] in place; [on_step] is the Figure-4
     trace hook.  [cell_nets] is the {!Fbp_netlist.Netlist.cell_nets}
-    cache.  With [cfg.domains > 1] waves run in parallel with a
-    deterministic commit order (bit-identical results). *)
+    cache.  All pool work runs at [cfg.domains]: with more than one,
+    waves run in parallel with a deterministic commit order
+    (bit-identical results). *)
 val realize :
   ?on_step:(step -> unit) ->
   Config.t ->

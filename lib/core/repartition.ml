@@ -144,6 +144,7 @@ let sweep ?(span = 2) (cfg : Config.t) (inst : Fbp_movebound.Instance.t)
    the block origin between sweeps so window boundaries get revisited. *)
 let refine ?(sweeps = 1) ?(span = 2) (cfg : Config.t)
     (inst : Fbp_movebound.Instance.t) (report : Placer.report) =
+  Fbp_util.Pool.with_domains cfg.Config.domains @@ fun () ->
   match report.Placer.final_grid with
   | None -> []
   | Some grid ->

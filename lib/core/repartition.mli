@@ -25,7 +25,8 @@ val sweep :
   stats
 
 (** [refine cfg inst report] runs [sweeps] passes over a finished
-    {!Placer.place} report (no-op when the report has no final grid). *)
+    {!Placer.place} report (no-op when the report has no final grid),
+    with all pool work at [cfg.domains]. *)
 val refine :
   ?sweeps:int ->
   ?span:int ->

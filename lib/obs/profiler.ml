@@ -346,6 +346,59 @@ let merge_pauses ivs =
   in
   List.rev (go [] None sorted)
 
+(* Per-phase wall and GC time.  A stop-the-world pause stops every domain
+   at once and shows up on each domain's ring, so the pauses are first
+   unioned across domains; each union interval then belongs to the
+   innermost phase containing its midpoint and counts only its overlap
+   with that phase.  So a phase's GC time never exceeds its wall time. *)
+let phase_summaries phases pauses =
+  let order = ref [] in
+  let tbl = Hashtbl.create 8 in
+  List.iter
+    (fun (name, t0, t1) ->
+      let wall, gc, n =
+        match Hashtbl.find_opt tbl name with
+        | Some v -> v
+        | None ->
+          order := name :: !order;
+          (0.0, 0.0, 0)
+      in
+      Hashtbl.replace tbl name (wall +. (t1 -. t0), gc, n))
+    phases;
+  let union =
+    merge_pauses
+      (List.map
+         (fun (ts, dur) -> { iv_ring = 0; iv_kind = "gc"; iv_ts = ts; iv_dur = dur })
+         pauses)
+  in
+  List.iter
+    (fun p ->
+      let mid = p.iv_ts +. (p.iv_dur /. 2.0) in
+      let innermost =
+        List.fold_left
+          (fun best ((_, t0, t1) as ph) ->
+            if t0 <= mid && mid <= t1 then
+              match best with
+              | Some (_, bt0, _) when bt0 >= t0 -> best
+              | _ -> Some ph
+            else best)
+          None phases
+      in
+      match innermost with
+      | None -> ()
+      | Some (name, t0, t1) ->
+        let overlap =
+          Float.min t1 (p.iv_ts +. p.iv_dur) -. Float.max t0 p.iv_ts
+        in
+        let wall, gc, n = Hashtbl.find tbl name in
+        Hashtbl.replace tbl name (wall, gc +. overlap, n + 1))
+    union;
+  List.rev_map
+    (fun name ->
+      let wall, gc, n = Hashtbl.find tbl name in
+      { ph_name = name; ph_wall_us = wall; ph_gc_us = gc; ph_gc_n = n })
+    !order
+
 (* Clamp an interval to the observation window; None when fully outside. *)
 let clamp_iv ~lo ~hi iv =
   let t0 = Float.max iv.iv_ts lo in
@@ -589,58 +642,12 @@ let summarize st stop_us =
       | None -> ())
     submits_l;
   let submit_latency = if !lat_n > 0 then !lat_sum /. float_of_int !lat_n else 0.0 in
-  (* phase attribution: a pause belongs to the innermost registered phase
-     interval containing its midpoint *)
-  let completed =
-    List.rev_append st.st_phases
-      (List.map (fun (n, t0) -> (n, t0, hi)) st.st_open_phases)
-  in
-  let phase_order = ref [] in
-  let phase_tbl = Hashtbl.create 8 in
-  List.iter
-    (fun (name, t0, t1) ->
-      let wall0, gc, n =
-        match Hashtbl.find_opt phase_tbl name with
-        | Some v -> v
-        | None ->
-          phase_order := name :: !phase_order;
-          (0.0, 0.0, 0)
-      in
-      Hashtbl.replace phase_tbl name (wall0 +. (t1 -. t0), gc, n))
-    completed;
-  let attribute p =
-    let mid = p.iv_ts +. (p.iv_dur /. 2.0) in
-    let best = ref None in
-    List.iter
-      (fun (name, t0, t1) ->
-        if t0 <= mid && mid <= t1 then
-          match !best with
-          | Some (_, bt0) when bt0 >= t0 -> ()
-          | _ -> best := Some (name, t0))
-      completed;
-    Option.map fst !best
-  in
   let all_pauses = List.concat_map snd ring_pauses in
-  List.iter
-    (fun p ->
-      match attribute p with
-      | None -> ()
-      | Some name -> (
-        match Hashtbl.find_opt phase_tbl name with
-        | None -> ()
-        | Some (w, gc, n) ->
-          Hashtbl.replace phase_tbl name (w, gc +. p.iv_dur, n + 1)))
-    all_pauses;
   let phases =
-    List.rev_map
-      (fun name ->
-        let w, gc, n =
-          match Hashtbl.find_opt phase_tbl name with
-          | Some v -> v
-          | None -> (0.0, 0.0, 0)
-        in
-        { ph_name = name; ph_wall_us = w; ph_gc_us = gc; ph_gc_n = n })
-      !phase_order
+    phase_summaries
+      (List.rev_append st.st_phases
+         (List.map (fun (n, t0) -> (n, t0, hi)) st.st_open_phases))
+      (List.map (fun p -> (p.iv_ts, p.iv_dur)) all_pauses)
   in
   let top =
     let sorted =

@@ -48,7 +48,9 @@ type domain_summary = {
 type phase_summary = {
   ph_name : string;
   ph_wall_us : float;
-  ph_gc_us : float;  (** GC pause time (all domains) attributed here *)
+  ph_gc_us : float;
+      (** GC pause time attributed here, a pause seen by several domains
+          at once counted once: never more than [ph_wall_us] *)
   ph_gc_n : int;
 }
 
@@ -101,6 +103,15 @@ val snapshot : unit -> summary
     collection; returns the run's summary.  {!empty_summary} when not
     running. *)
 val stop : unit -> summary
+
+(** [phase_summaries phases pauses] attributes GC [pauses] [(ts, dur)],
+    from any mix of domains, to [phases] [(name, t0, t1)] (µs, oldest
+    first).  Pauses are unioned across domains first; each union interval
+    goes to the innermost phase containing its midpoint, clipped to that
+    phase.  Phases with the same name are summed, in first-registration
+    order. *)
+val phase_summaries :
+  (string * float * float) list -> (float * float) list -> phase_summary list
 
 val summary_json : summary -> Obs.Json.t
 val summary_of_json : Obs.Json.t -> (summary, string) result

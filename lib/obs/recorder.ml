@@ -58,13 +58,12 @@ type density_map = {
   capacity : float array;
 }
 
-(* Execution environment: artifacts measured on a 1-core container under
-   the hardware clamp must be distinguishable from real multi-core runs,
-   or BENCH/profile numbers get compared across incomparable machines. *)
+(* Execution environment: artifacts measured on a 1-core container must be
+   distinguishable from real multi-core runs, or BENCH/profile numbers get
+   compared across incomparable machines. *)
 type host = {
-  hw_clamp : bool;  (* Config.hw_clamp for this run *)
   hardware_domains : int;  (* Pool.hardware_domains on this machine *)
-  eff_domains : int;  (* configured domain count after resolution *)
+  eff_domains : int;  (* Config.domains: the count every layer ran at *)
   peak_rss_kb : int option;  (* VmHWM; None off Linux *)
 }
 
@@ -268,7 +267,6 @@ let density_to_json (d : density_map) =
 let host_to_json (h : host) =
   J.Obj
     [
-      ("hw_clamp", J.Bool h.hw_clamp);
       ("hardware_domains", jint h.hardware_domains);
       ("eff_domains", jint h.eff_domains);
       ("peak_rss_kb", jopt jint h.peak_rss_kb);
@@ -404,7 +402,6 @@ let density_of_json o =
 
 let host_of_json o =
   {
-    hw_clamp = bool_ "hw_clamp" o;
     hardware_domains = int_ "hardware_domains" o;
     eff_domains = int_ "eff_domains" o;
     peak_rss_kb =

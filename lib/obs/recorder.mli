@@ -76,13 +76,13 @@ type density_map = {
 }
 
 (** Execution environment the run was measured on.  Artifacts produced
-    under the hardware clamp on a 1-core container are not comparable to
-    real multi-core runs; recording the clamp and domain counts makes the
-    distinction machine-checkable. *)
+    on a 1-core container are not comparable to real multi-core runs;
+    recording the domain counts makes the distinction machine-checkable.
+    Records from older builds may carry extra host members; the reader
+    ignores members it does not know. *)
 type host = {
-  hw_clamp : bool;  (** [Config.hw_clamp] for this run *)
   hardware_domains : int;  (** [Pool.hardware_domains] on this machine *)
-  eff_domains : int;  (** configured domain count after resolution *)
+  eff_domains : int;  (** [Config.domains]: the count every layer ran at *)
   peak_rss_kb : int option;  (** [VmHWM]; [None] off Linux *)
 }
 

@@ -38,7 +38,7 @@ type region = {
 }
 
 (* Hard cap on pool workers (domains beyond the caller's).  Far above any
-   sane [FBP_DOMAINS]; placement kernels are memory-bound long before. *)
+   count the placer gains from; its kernels are memory-bound long before. *)
 let max_workers = 30
 
 type state = {
@@ -56,31 +56,44 @@ let state =
     free = [];
   }
 
+let cap n = max 1 (min n (max_workers + 1))
+
+(* Domains the hardware can actually run at once.  Only counts that enter
+   from outside the program are clamped to it ([clamp_to_hardware]):
+   beyond the core count, extra domains only time-slice one core and add
+   wakeup latency.  Correctness never depends on it (the determinism
+   contract holds at any domain count). *)
+let hardware_domains = max 1 (Domain.recommended_domain_count ())
+
+let clamp_to_hardware n = cap (min n hardware_domains)
+
+(* [FBP_DOMAINS] when it parses to at least 1, else 8; either way clamped
+   to the hardware, since it comes from outside the program. *)
 let default_domains =
-  let fallback () = max 1 (min 8 (Domain.recommended_domain_count ())) in
+  let requested =
+    match Sys.getenv_opt "FBP_DOMAINS" with
+    | Some s -> int_of_string_opt (String.trim s)
+    | None -> None
+  in
   Atomic.make
-    (match Sys.getenv_opt "FBP_DOMAINS" with
-    | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 -> min n (max_workers + 1)
-      | _ -> fallback ())
-    | None -> fallback ())
+    (match requested with
+    | Some n when n >= 1 -> clamp_to_hardware n
+    | _ -> clamp_to_hardware 8)
 
-let set_default_domains n =
-  Atomic.set default_domains (max 1 (min n (max_workers + 1)))
-
+let set_default_domains n = Atomic.set default_domains (cap n)
 let get_default_domains () = Atomic.get default_domains
 
-let resolve = function
-  | Some d -> max 1 (min d (max_workers + 1))
-  | None -> Atomic.get default_domains
-
-(* Domains the hardware can actually run at once.  Callers sizing
-   *throughput* parallelism (the realization lease) clamp to this: extra
-   domains beyond the core count only time-slice one core and add wakeup
-   latency — the PR7 anti-scaling root.  Correctness never depends on it
-   (the determinism contract holds at any domain count). *)
-let hardware_domains = max 1 (Domain.recommended_domain_count ())
+(* The process-wide count is the one every layer reads, so a caller that
+   owns a [Config.t] pins it for the duration of its work.  Nested calls
+   with the same count (the usual case) write nothing, so pool workers
+   re-entering here never race the owner. *)
+let with_domains n f =
+  let n = cap n and prev = Atomic.get default_domains in
+  if n = prev then f ()
+  else begin
+    Atomic.set default_domains n;
+    Fun.protect ~finally:(fun () -> Atomic.set default_domains prev) f
+  end
 
 (* Worker handoffs since process start: one per [dispatch] (a job handed to
    a parked worker) plus one per [lease_run] submission (a whole batch
@@ -230,9 +243,9 @@ let reraise (e, bt) = Printexc.raise_with_backtrace e bt
 let check_errors errs =
   match Array.find_map Fun.id errs with Some eb -> reraise eb | None -> ()
 
-let run_chunks ?domains ~n_chunks:k body =
+let run_chunks ~n_chunks:k body =
   if k > 0 then begin
-    let d = min (resolve domains) k in
+    let d = min (Atomic.get default_domains) k in
     if d <= 1 then
       for c = 0 to k - 1 do
         body c
@@ -360,8 +373,8 @@ let lease_helper (l : lease) wid =
   in
   go 0
 
-let lease ?domains () =
-  let d = resolve domains in
+let lease () =
+  let d = Atomic.get default_domains in
   let helpers = acquire (d - 1) in
   let l =
     {
@@ -431,16 +444,16 @@ let release_lease (l : lease) =
   end
 
 (* Spawn (and immediately park) the helper workers that [n]-domain regions
-   clamped to the hardware will actually use, so domain-spawn cost never
-   lands inside a timed or latency-sensitive path.  Deliberately capped at
-   [hardware_domains - 1]: on OCaml 5 every live domain — parked or not —
-   joins each minor-GC stop-the-world rendezvous, so surplus domains tax
-   *sequential* code on small machines (measured ~4x on one core with 7
-   parked workers). *)
-let prewarm n = release (acquire (min (min n hardware_domains) max_workers - 1))
+   will use, so domain-spawn cost never lands inside a timed or
+   latency-sensitive path.  Callers pass a count they already clamped to
+   the hardware: on OCaml 5 every live domain — parked or not — joins each
+   minor-GC stop-the-world rendezvous, so surplus domains tax *sequential*
+   code on small machines (measured ~4x on one core with 7 parked
+   workers). *)
+let prewarm n = release (acquire (cap n - 1))
 
-let fork2 ?domains f g =
-  if resolve domains < 2 then
+let fork2 f g =
+  if Atomic.get default_domains < 2 then
     let a = f () in
     let b = g () in
     (a, b)
@@ -476,13 +489,13 @@ let fork2 ?domains f g =
         | None -> (
           match !res_g with Some b -> (a, b) | None -> assert false)))
 
-let reduce ?domains ~grain ~n chunk combine =
+let reduce ~grain ~n chunk combine =
   let k = n_chunks ~grain n in
   if k = 0 then None
   else if k = 1 then Some (chunk 0 n)
   else begin
     let parts = Array.make k None in
-    run_chunks ?domains ~n_chunks:k (fun c ->
+    run_chunks ~n_chunks:k (fun c ->
         let lo, hi = chunk_bounds ~n ~n_chunks:k c in
         parts.(c) <- Some (chunk lo hi));
     (* fixed-shape binary tree over chunk order: the combine shape depends

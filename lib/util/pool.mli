@@ -13,11 +13,19 @@
     {!reduce} combines per-chunk partials in a fixed-shape binary tree over
     chunk order; dynamic scheduling affects wall-clock only.
 
-    The default domain count is [FBP_DOMAINS] when set (clamped to the
-    pool cap), else [min 8 (Domain.recommended_domain_count ())]. *)
+    One domain count sizes every region: the process-wide default.  It
+    starts at [FBP_DOMAINS] when that parses to at least 1, else 8,
+    clamped by {!clamp_to_hardware}; callers that own a count (a
+    [Config.t]) pin it with {!with_domains}. *)
 
 val set_default_domains : int -> unit
 val get_default_domains : unit -> int
+
+(** [with_domains n f] runs [f] with the default domain count set to [n]
+    and restores the previous count afterwards, also when [f] raises.  The
+    count is process-wide: nested calls with the same [n] are free, but
+    concurrent domains must not pin different counts. *)
+val with_domains : int -> (unit -> 'a) -> 'a
 
 (** Number of chunks for [n] items at the given [grain] (target items per
     chunk), capped so partial arrays stay tiny.  Pure in [n] and [grain] —
@@ -27,18 +35,18 @@ val n_chunks : grain:int -> int -> int
 (** [chunk_bounds ~n ~n_chunks c] is the half-open range of chunk [c]. *)
 val chunk_bounds : n:int -> n_chunks:int -> int -> int * int
 
-(** [run_chunks ~domains ~n_chunks body] executes [body c] for every chunk
-    [c] in [0, n_chunks), distributing chunks over up to [domains] domains
+(** [run_chunks ~n_chunks body] executes [body c] for every chunk [c] in
+    [0, n_chunks), distributing chunks over up to the pool's domain count
     (the caller plus free pool workers).  [body] must only write state
     private to its chunk.  If bodies raise, every chunk still runs and the
     first failure in chunk order is re-raised — no worker is ever lost and
     the pool is immediately reusable. *)
-val run_chunks : ?domains:int -> n_chunks:int -> (int -> unit) -> unit
+val run_chunks : n_chunks:int -> (int -> unit) -> unit
 
 (** [fork2 f g] runs the two thunks concurrently when a worker is free
-    (and [domains] resolves to at least 2), else sequentially.  If both
+    and the pool's domain count is at least 2, else sequentially.  If both
     raise, [f]'s exception wins (deterministic precedence). *)
-val fork2 : ?domains:int -> (unit -> 'a) -> (unit -> 'b) -> 'a * 'b
+val fork2 : (unit -> 'a) -> (unit -> 'b) -> 'a * 'b
 
 (** [reduce ~grain ~n chunk combine] computes [chunk lo hi] partials over
     the deterministic chunking of [0, n) and combines them in a fixed-shape
@@ -46,7 +54,6 @@ val fork2 : ?domains:int -> (unit -> 'a) -> (unit -> 'b) -> 'a * 'b
     domain count even when [combine] is float addition.  [None] iff
     [n <= 0]. *)
 val reduce :
-  ?domains:int ->
   grain:int ->
   n:int ->
   (int -> int -> 'a) ->
@@ -54,11 +61,16 @@ val reduce :
   'a option
 
 (** Domains the hardware can actually run at once
-    ([Domain.recommended_domain_count], at least 1).  Callers sizing
-    throughput parallelism should clamp to this: domains beyond the core
-    count only time-slice and add wakeup latency.  Correctness never
-    depends on it — the determinism contract holds at any domain count. *)
+    ([Domain.recommended_domain_count], at least 1).  Provenance only:
+    the one decision based on it is {!clamp_to_hardware}. *)
 val hardware_domains : int
+
+(** [clamp_to_hardware n] is [n] limited to [1 .. hardware_domains]: the
+    policy for a count that enters from outside the program ([FBP_DOMAINS],
+    the CLI's [-j], a benchmark's domain sweep).  Domains beyond the core
+    count only time-slice and add wakeup latency.  Library calls are never
+    clamped: they run at exactly the count they are given. *)
+val clamp_to_hardware : int -> int
 
 (** {1 Reusable leases}
 
@@ -70,11 +82,11 @@ val hardware_domains : int
 
 type lease
 
-(** [lease ~domains ()] acquires up to [domains - 1] free workers as
-    resident helpers.  Acquisition never blocks: with no free workers the
+(** [lease ()] acquires up to the pool's domain count minus one free
+    workers as resident helpers.  Acquisition never blocks: with no free workers the
     lease has zero helpers and every {!lease_run} executes sequentially.
     Must be paired with {!release_lease}. *)
-val lease : ?domains:int -> unit -> lease
+val lease : unit -> lease
 
 (** Number of helper workers held by the lease (0 on an exhausted pool). *)
 val lease_helpers : lease -> int
@@ -92,11 +104,11 @@ val lease_run : lease -> n_chunks:int -> (int -> unit) -> unit
 val release_lease : lease -> unit
 
 (** [prewarm n] eagerly spawns (and parks) the workers that [n]-domain
-    regions clamped to {!hardware_domains} will actually use, so
-    domain-spawn cost never lands inside a timed or latency-sensitive
-    path.  Never spawns beyond the core count: every live domain joins
-    each minor-GC stop-the-world rendezvous, so surplus parked domains
-    measurably tax sequential code on small machines. *)
+    regions will use, so domain-spawn cost never lands inside a timed or
+    latency-sensitive path.  Pass a count already clamped to the
+    hardware: every live domain joins each minor-GC stop-the-world
+    rendezvous, so surplus parked domains measurably tax sequential code
+    on small machines. *)
 val prewarm : int -> unit
 
 (** Number of worker domains spawned so far (for tests/metrics). *)

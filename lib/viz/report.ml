@@ -551,8 +551,7 @@ let render ?trajectory (t : R.t) =
      | None -> ""
      | Some h ->
        Printf.sprintf
-         " &#183; host: %d hw domains%s, %d effective%s" h.R.hardware_domains
-         (if h.R.hw_clamp then " (clamped)" else "")
+         " &#183; host: %d hw domains, %d effective%s" h.R.hardware_domains
          h.R.eff_domains
          (match h.R.peak_rss_kb with
           | Some kb -> Printf.sprintf ", peak RSS %d MB" (kb / 1024)

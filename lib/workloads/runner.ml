@@ -109,8 +109,7 @@ let run_fbp ?(config = Fbp_core.Config.default) ?(repartition = 1)
          meaningful once the run has actually exercised the pool *)
       R.set_host
         {
-          R.hw_clamp = config.Fbp_core.Config.hw_clamp;
-          hardware_domains = Fbp_util.Pool.hardware_domains;
+          R.hardware_domains = Fbp_util.Pool.hardware_domains;
           eff_domains = config.Fbp_core.Config.domains;
           peak_rss_kb = Fbp_util.Rss.peak_rss_kb ();
         };

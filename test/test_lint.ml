@@ -37,7 +37,7 @@ let test_domain_safety () =
   let ds =
     lint
       {|let total = ref 0
-let f xs = Fbp_util.Parallel.map_array (fun x -> total := !total + x; x) xs
+let f n = Fbp_util.Pool.run_chunks ~n_chunks:n (fun c -> total := !total + c)
 |}
   in
   Alcotest.(check bool) "module-level ref flagged" true
@@ -50,20 +50,19 @@ let f xs = Fbp_util.Parallel.map_array (fun x -> total := !total + x; x) xs
        ds);
   check_finds "module-level Hashtbl in parallel closure" "domain-safety"
     {|let cache = Hashtbl.create 16
-let f xs =
-  Fbp_util.Parallel.iter_array (fun x -> Hashtbl.replace cache x x) xs
+let f n =
+  Fbp_util.Pool.run_chunks ~n_chunks:n (fun c -> Hashtbl.replace cache c c)
 |};
   check_clean "pure closure"
-    {|let f xs = Fbp_util.Parallel.map_array (fun x -> x + 1) xs
+    {|let f n = Fbp_util.Pool.reduce ~grain:64 ~n (fun lo hi -> hi - lo) ( + )
 |};
   check_clean "closure mutating its own local state"
-    {|let f xs =
-  Fbp_util.Parallel.map_array
-    (fun x ->
+    {|let f n =
+  Fbp_util.Pool.run_chunks ~n_chunks:n
+    (fun c ->
       let acc = ref 0 in
-      acc := x;
-      !acc)
-    xs
+      acc := c;
+      ignore !acc)
 |};
   (* the Pool entry points are covered too, across every closure argument *)
   check_finds "capture in Pool.run_chunks closure" "domain-safety"

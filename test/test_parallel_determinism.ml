@@ -8,18 +8,10 @@
 open Fbp_netlist
 open Fbp_core
 module Pool = Fbp_util.Pool
-module Parallel = Fbp_util.Parallel
 module Vec = Fbp_linalg.Vec
 module Csr = Fbp_linalg.Csr
 
 let bits = Int64.bits_of_float
-
-(* Run [f] with the pool default set to [d], restoring the previous default
-   afterwards (the suites share one process). *)
-let with_domains d f =
-  let prev = Pool.get_default_domains () in
-  Pool.set_default_domains d;
-  Fun.protect ~finally:(fun () -> Pool.set_default_domains prev) f
 
 (* ---------- chunking is a pure function of n ---------- *)
 
@@ -46,10 +38,10 @@ let test_dot_bitwise_across_domains () =
   let n = 30_000 in
   let a = Array.init n (fun _ -> Fbp_util.Rng.range rng (-1.0) 1.0) in
   let b = Array.init n (fun _ -> Fbp_util.Rng.range rng (-1.0) 1.0) in
-  let reference = with_domains 1 (fun () -> (Vec.dot a b, Vec.sqnorm2 a)) in
+  let reference = Pool.with_domains 1 (fun () -> (Vec.dot a b, Vec.sqnorm2 a)) in
   List.iter
     (fun d ->
-      let got = with_domains d (fun () -> (Vec.dot a b, Vec.sqnorm2 a)) in
+      let got = Pool.with_domains d (fun () -> (Vec.dot a b, Vec.sqnorm2 a)) in
       Alcotest.(check int64)
         (Printf.sprintf "dot bits at %d domains" d)
         (bits (fst reference)) (bits (fst got));
@@ -75,7 +67,7 @@ let test_spmv_bitwise_across_domains () =
   let a = Csr.freeze (random_system rng n) in
   let x = Array.init n (fun _ -> Fbp_util.Rng.range rng (-5.0) 5.0) in
   let run d =
-    with_domains d (fun () ->
+    Pool.with_domains d (fun () ->
         let out = Array.make n 0.0 in
         Csr.mul a x out;
         out)
@@ -154,37 +146,44 @@ let test_refreeze_rejects_changed_topology () =
 
 exception Boom of int
 
+(* Doubles [0, n) in 8 chunks on the pool; true iff every slot is right —
+   the pool still works. *)
+let doubles_all n =
+  let out = Array.make n 0 in
+  Pool.run_chunks ~n_chunks:8 (fun c ->
+      let lo, hi = Pool.chunk_bounds ~n ~n_chunks:8 c in
+      for i = lo to hi - 1 do
+        out.(i) <- 2 * i
+      done);
+  Array.for_all Fun.id (Array.mapi (fun i v -> v = 2 * i) out)
+
 let test_pool_exceptions_and_reuse () =
-  with_domains 4 (fun () ->
+  Pool.with_domains 4 (fun () ->
       (* first failure in chunk order wins, even when a later chunk also
          raises and scheduling is dynamic *)
       (match
-         Pool.run_chunks ~domains:4 ~n_chunks:8 (fun c ->
+         Pool.run_chunks ~n_chunks:8 (fun c ->
              if c = 2 || c = 5 then raise (Boom c))
        with
       | () -> Alcotest.fail "expected Boom"
       | exception Boom c -> Alcotest.(check int) "first chunk error" 2 c);
       (* fork2: f's exception takes precedence over g's *)
       (match
-         Pool.fork2 ~domains:2
-           (fun () -> raise (Boom 1))
-           (fun () -> raise (Boom 2))
+         Pool.fork2 (fun () -> raise (Boom 1)) (fun () -> raise (Boom 2))
        with
       | _ -> Alcotest.fail "expected Boom"
       | exception Boom c -> Alcotest.(check int) "fork2 f wins" 1 c);
       (* the pool is immediately reusable after failures *)
-      let a = Array.init 1000 (fun i -> i) in
-      let doubled = Parallel.map_array ~domains:4 (fun v -> 2 * v) a in
       Alcotest.(check bool) "pool reusable after exceptions" true
-        (Array.for_all2 (fun v w -> w = 2 * v) a doubled);
+        (doubles_all 1000);
       Alcotest.(check bool) "workers were actually spawned" true
         (Pool.n_workers_spawned () >= 1))
 
 (* ---------- lease: reuse across submissions + error semantics ---------- *)
 
 let test_lease_reuse_and_errors () =
-  with_domains 4 (fun () ->
-      let l = Pool.lease ~domains:4 () in
+  Pool.with_domains 4 (fun () ->
+      let l = Pool.lease () in
       Fun.protect
         ~finally:(fun () -> Pool.release_lease l)
         (fun () ->
@@ -224,10 +223,8 @@ let test_lease_reuse_and_errors () =
       | () -> Alcotest.fail "expected Invalid_argument after release"
       | exception Invalid_argument _ -> ());
       Pool.release_lease l;
-      let a = Array.init 100 (fun i -> i) in
-      let doubled = Parallel.map_array ~domains:4 (fun v -> 2 * v) a in
       Alcotest.(check bool) "pool healthy after release" true
-        (Array.for_all2 (fun v w -> w = 2 * v) a doubled))
+        (doubles_all 100))
 
 (* ---------- realization: compact wave snapshot ---------- *)
 
@@ -271,23 +268,21 @@ let test_realization_counters_and_bitwise () =
   let model = Fbp_model.build inst regions grid design.Design.initial in
   let sol = Fbp_model.solve model in
   let cell_nets = Netlist.cell_nets nl in
-  (* hw_clamp off so the lease path actually runs on small CI machines *)
   let run domains =
-    with_domains domains (fun () ->
-        let pos = Placement.copy design.Design.initial in
-        Fbp_obs.Obs.enable ();
-        Fbp_obs.Obs.reset ();
-        let stepped = ref 0 in
-        let r =
-          Realization.realize
-            ~on_step:(fun s -> stepped := !stepped + s.Realization.n_cells)
-            { Config.default with domains; hw_clamp = false }
-            inst regions sol pos ~cell_nets
-        in
-        let snap = Fbp_obs.Obs.counter_value "realization.snapshot_cells" in
-        let disp = Fbp_obs.Obs.counter_value "pool.dispatches" in
-        Fbp_obs.Obs.disable ();
-        (pos, r, !stepped, snap, disp))
+    let pos = Placement.copy design.Design.initial in
+    Fbp_obs.Obs.enable ();
+    Fbp_obs.Obs.reset ();
+    let stepped = ref 0 in
+    let r =
+      Realization.realize
+        ~on_step:(fun s -> stepped := !stepped + s.Realization.n_cells)
+        { Config.default with domains }
+        inst regions sol pos ~cell_nets
+    in
+    let snap = Fbp_obs.Obs.counter_value "realization.snapshot_cells" in
+    let disp = Fbp_obs.Obs.counter_value "pool.dispatches" in
+    Fbp_obs.Obs.disable ();
+    (pos, r, !stepped, snap, disp)
   in
   let p1, r1, s1, snap1, _ = run 1 in
   let p8, r8, s8, snap8, disp8 = run 8 in
@@ -322,23 +317,20 @@ let test_placer_bitwise_and_records () =
   let inst = Fbp_movebound.Instance.unconstrained d in
   let nl = d.Design.netlist in
   let run domains =
-    with_domains domains (fun () ->
-        Fbp_obs.Obs.enable ();
-        Fbp_obs.Obs.reset ();
-        let rep =
-          match
-            Placer.place ~config:{ Config.default with domains } inst
-          with
-          | Error e -> Alcotest.fail (Fbp_resilience.Fbp_error.to_string e)
-          | Ok rep -> rep
-        in
-        let records =
-          ( Fbp_obs.Obs.counter_value "cg.solves",
-            Fbp_obs.Obs.counter_value "cg.nonconverged",
-            Fbp_obs.Obs.histogram_values "cg.iterations" )
-        in
-        Fbp_obs.Obs.disable ();
-        (rep.Placer.placement, Hpwl.total nl rep.Placer.placement, records))
+    Fbp_obs.Obs.enable ();
+    Fbp_obs.Obs.reset ();
+    let rep =
+      match Placer.place ~config:{ Config.default with domains } inst with
+      | Error e -> Alcotest.fail (Fbp_resilience.Fbp_error.to_string e)
+      | Ok rep -> rep
+    in
+    let records =
+      ( Fbp_obs.Obs.counter_value "cg.solves",
+        Fbp_obs.Obs.counter_value "cg.nonconverged",
+        Fbp_obs.Obs.histogram_values "cg.iterations" )
+    in
+    Fbp_obs.Obs.disable ();
+    (rep.Placer.placement, Hpwl.total nl rep.Placer.placement, records)
   in
   let p1, h1, r1 = run 1 in
   let p8, h8, r8 = run 8 in
@@ -349,6 +341,30 @@ let test_placer_bitwise_and_records () =
   Alcotest.(check int) "cg.solves equal" c1 c8;
   Alcotest.(check int) "cg.nonconverged equal" nc1 nc8;
   Alcotest.(check (array (float 0.0))) "cg.iterations stream equal" it1 it8
+
+(* ---------- e2e: Config.domains sizes every layer ---------- *)
+
+(* A run at [Config.domains = 1] must leave the pool alone even when the
+   process default is higher, and place exactly like a 4-domain run.  At
+   10k cells the global QP is above [Qp]'s sequential threshold, so its
+   axis solves and CG kernels would fork if they read the pool default. *)
+let test_run_fbp_domains_sizes_every_layer () =
+  let d = Generator.quick ~seed:71 ~name:"one" 10_000 in
+  let inst = Fbp_movebound.Instance.unconstrained d in
+  let hpwl domains =
+    match
+      Fbp_workloads.Runner.run_fbp ~config:{ Config.default with domains } inst
+    with
+    | Ok m -> m.Fbp_workloads.Runner.hpwl
+    | Error e -> Alcotest.fail (Fbp_resilience.Fbp_error.to_string e)
+  in
+  Pool.with_domains 4 (fun () ->
+      let d0 = Pool.n_dispatches () in
+      let h1 = hpwl 1 in
+      Alcotest.(check int) "no pool dispatch at Config.domains = 1" 0
+        (Pool.n_dispatches () - d0);
+      Alcotest.(check int64) "hpwl bit-identical to 4 domains" (bits h1)
+        (bits (hpwl 4)))
 
 let suite =
   [
@@ -370,4 +386,6 @@ let suite =
       test_realization_counters_and_bitwise;
     Alcotest.test_case "placer bitwise + run records" `Slow
       test_placer_bitwise_and_records;
+    Alcotest.test_case "run_fbp at 1 domain is sequential" `Slow
+      test_run_fbp_domains_sizes_every_layer;
   ]

@@ -25,7 +25,7 @@ let small_instance ?(n_cells = 300) ?(seed = 5) () =
   Fbp_movebound.Instance.unconstrained d
 
 let place ?(domains = 1) inst =
-  let config = { Fbp_core.Config.default with domains; hw_clamp = false } in
+  let config = { Fbp_core.Config.default with domains } in
   match Fbp_core.Placer.place ~config inst with
   | Ok rep -> rep
   | Error e ->
@@ -73,7 +73,8 @@ let test_pool_hook_detached_on_stop () =
   let n = Atomic.make 0 in
   Pool.set_profile_hook (fun _ev -> Atomic.incr n);
   Fun.protect ~finally:Pool.clear_profile_hook (fun () ->
-      Pool.run_chunks ~domains:2 ~n_chunks:4 (fun _c -> ()));
+      Pool.with_domains 2 (fun () ->
+          Pool.run_chunks ~n_chunks:4 (fun _c -> ())));
   Alcotest.(check bool) "replacement hook observed the pool" true
     (Atomic.get n > 0)
 
@@ -188,8 +189,30 @@ let test_phases_recorded () =
       List.iter
         (fun (p : Prof.phase_summary) ->
           Alcotest.(check bool) (p.Prof.ph_name ^ " wall positive") true
-            (p.Prof.ph_wall_us > 0.0))
+            (p.Prof.ph_wall_us > 0.0);
+          Alcotest.(check bool) (p.Prof.ph_name ^ " gc within wall") true
+            (p.Prof.ph_gc_us <= p.Prof.ph_wall_us))
         s.Prof.s_phases)
+
+(* One stop-the-world pause is seen by every domain: two domains pausing
+   over the same interval count once, and a pause running past its phase
+   counts only inside it. *)
+let test_simultaneous_pauses_count_once () =
+  let phases = [ ("qp", 0.0, 100.0); ("realization", 100.0, 150.0) ] in
+  let pauses =
+    [ (10.0, 20.0); (10.0, 20.0);  (* both domains, same rendezvous *)
+      (25.0, 10.0);  (* overlaps it on a third domain: union is [10, 35] *)
+      (140.0, 20.0) ]  (* straddles the end of realization *)
+  in
+  match Prof.phase_summaries phases pauses with
+  | [ qp; real ] ->
+    Alcotest.(check string) "first-registration order" "qp" qp.Prof.ph_name;
+    Alcotest.(check (float 1e-9)) "qp gc = union" 25.0 qp.Prof.ph_gc_us;
+    Alcotest.(check int) "qp pauses" 1 qp.Prof.ph_gc_n;
+    Alcotest.(check (float 1e-9)) "realization gc clipped" 10.0
+      real.Prof.ph_gc_us;
+    Alcotest.(check (float 1e-9)) "realization wall" 50.0 real.Prof.ph_wall_us
+  | l -> Alcotest.failf "expected 2 phases, got %d" (List.length l)
 
 (* ---------- serialization ---------- *)
 
@@ -238,7 +261,8 @@ let test_pr7_signature_visible () =
      contribute nothing, yet every minor-GC stop-the-world rendezvous must
      drag them in — the profiler alone has to make that visible. *)
   with_prof (fun () ->
-      Pool.run_chunks ~domains:4 ~n_chunks:4 (fun _c -> ());
+      Pool.with_domains 4 (fun () ->
+          Pool.run_chunks ~n_chunks:4 (fun _c -> ()));
       churn_gc ();
       churn_gc ();
       let s = Prof.stop () in
@@ -271,6 +295,8 @@ let suite =
     Alcotest.test_case "occupancy sums to wall" `Quick
       test_occupancy_sums_to_wall;
     Alcotest.test_case "phases recorded" `Quick test_phases_recorded;
+    Alcotest.test_case "simultaneous pauses count once" `Quick
+      test_simultaneous_pauses_count_once;
     Alcotest.test_case "summary JSON round trip" `Quick test_json_round_trip;
     Alcotest.test_case "PR7 signature visible" `Quick test_pr7_signature_visible;
   ]

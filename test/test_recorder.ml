@@ -178,11 +178,35 @@ let test_file_roundtrip () =
 
 let regressed_metrics c = List.map (fun g -> g.R.metric) c.R.regressions
 
+(* [record_fixture] as the previous writer emitted it, host section
+   included: that host carried a since-removed clamp flag, which the
+   reader must skip. *)
+let older_writer_record =
+  {|{"schema":"fbp-run-record","version":1,"provenance":{"design":"smoke.book","cells":400,"nets":466,"movebounds":2,"seed":7,"tool":"fbp","config":{"domains":"1","strict":"false"},"host":{"hw_clamp":true,"hardware_domains":2,"eff_domains":1,"peak_rss_kb":10444}},"levels":[{"level":1,"nx":2,"ny":2,"n_windows":4,"n_pieces":7,"flow_nodes":68,"flow_edges":276,"hpwl":8474.1700000000001,"density_overflow":0.012500000000000001,"mb_violations":3,"cg_iterations":59,"cg_residual":8.32e-06,"cg_converged":true,"mcf_cost":991.25,"mcf_rounds":29,"waves":4,"shipped_cells":379,"fallback_cells":0,"qp_time":0.0030000000000000001,"flow_time":0.0015,"realization_time":0.0055999999999999999,"gc":{"minor_words":1234,"major_words":56.5,"major_collections":2,"compactions":0,"heap_words":262144}},{"level":2,"nx":4,"ny":4,"n_windows":8,"n_pieces":14,"flow_nodes":68,"flow_edges":276,"hpwl":8094.5,"density_overflow":0.012500000000000001,"mb_violations":3,"cg_iterations":59,"cg_residual":8.32e-06,"cg_converged":true,"mcf_cost":null,"mcf_rounds":29,"waves":4,"shipped_cells":379,"fallback_cells":0,"qp_time":0.0030000000000000001,"flow_time":0.0015,"realization_time":0.0055999999999999999,"gc":{"minor_words":1234,"major_words":56.5,"major_collections":2,"compactions":0,"heap_words":262144}}],"legalization":{"hpwl":8084.5,"density_overflow":0.0129,"mb_violations":0,"time":0.00029999999999999997,"spilled":5,"failed":0,"avg_displacement":3.5099999999999998,"max_displacement":26.449999999999999},"density":{"nx":2,"ny":2,"usage":[0.5,0.25,0,1.75],"capacity":[1,1,0,1]},"totals":{"hpwl":8084.5,"global_time":0.045999999999999999,"legalize_time":0.00040000000000000002,"total_time":0.046399999999999997,"legal":true,"violations":0},"metrics":null,"profile":null}|}
+
 let test_diff_self_clean () =
-  let r = record_fixture () in
-  let c = R.diff ~max_hpwl_regress:0.02 ~max_time_regress:0.25 ~base:r ~cand:r () in
-  Alcotest.(check (list string)) "no regressions vs self" [] (regressed_metrics c);
-  Alcotest.(check bool) "prints comparison lines" true (c.R.lines <> [])
+  let older =
+    match R.of_json older_writer_record with
+    | Ok r -> r
+    | Error e -> Alcotest.failf "older writer's record does not load: %s" e
+  in
+  Alcotest.(check (option (pair int int))) "older host section loads"
+    (Some (2, 1))
+    (Option.map
+       (fun h -> (h.R.hardware_domains, h.R.eff_domains))
+       older.R.provenance.R.host);
+  List.iter
+    (fun (name, r) ->
+      let c =
+        R.diff ~max_hpwl_regress:0.02 ~max_time_regress:0.25 ~base:r ~cand:r ()
+      in
+      Alcotest.(check (list string))
+        (name ^ ": no regressions vs self") [] (regressed_metrics c);
+      Alcotest.(check bool) (name ^ ": prints comparison lines") true
+        (c.R.lines <> []);
+      Alcotest.(check bool) (name ^ ": renders") true
+        (String.length (Fbp_viz.Report.render r) > 0))
+    [ ("fixture", record_fixture ()); ("older writer", older) ]
 
 let test_diff_hpwl_regression () =
   let base = record_fixture ~hpwl:8000.0 () in

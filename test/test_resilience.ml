@@ -2,7 +2,7 @@
    placer's degradation ladder (margin drop, movebound relaxation, bisection
    fallback, checkpoint returns), CG safeguarded restarts, deadline stops,
    parser hardening, Mcf eps-degenerate supplies, and the no-leaked-domains
-   guarantee of Parallel.  Every test disarms the injection registry in a
+   guarantee of the pool.  Every test disarms the injection registry in a
    [finally] so a failure cannot poison later suites. *)
 
 open Fbp_netlist
@@ -466,20 +466,23 @@ let test_mcf_degenerate_supplies () =
 (* ---------- parallel: no leaked domains ---------- *)
 
 let test_parallel_joins_on_exception () =
-  let arr = Array.init 100 Fun.id in
-  let raising i = if i = 50 then failwith "kaboom" else i * 2 in
+  Fbp_util.Pool.with_domains 4 @@ fun () ->
+  let n = 100 in
+  let out = Array.make n 0 in
+  let run body = Fbp_util.Pool.run_chunks ~n_chunks:n body in
   (try
-     ignore (Fbp_util.Parallel.map_array ~domains:4 raising arr);
+     run (fun i -> if i = 50 then failwith "kaboom" else out.(i) <- i * 2);
      Alcotest.fail "exception swallowed"
    with Failure msg -> Alcotest.(check string) "original exception" "kaboom" msg);
   (* all domains were joined: the pool is immediately reusable and correct *)
-  let ok = Fbp_util.Parallel.map_array ~domains:4 (fun i -> i * 2) arr in
-  Alcotest.(check int) "subsequent run correct" 198 ok.(99);
+  run (fun i -> out.(i) <- i * 2);
+  Alcotest.(check int) "subsequent run correct" 198 out.(99);
   try
-    Fbp_util.Parallel.iter_array ~domains:4
-      (fun i -> if i = 7 then raise Exit else ())
-      arr;
-    Alcotest.fail "iter exception swallowed"
+    ignore
+      (Fbp_util.Pool.reduce ~grain:1 ~n
+         (fun lo _ -> if lo = 7 then raise Exit else lo)
+         ( + ));
+    Alcotest.fail "reduce exception swallowed"
   with Exit -> ()
 
 let suite =

@@ -189,6 +189,19 @@ let test_table_formatters () =
   Alcotest.(check string) "small" "42" (Table.fmt_k 42);
   Alcotest.(check string) "M" "9.3M" (Table.fmt_k 9316938)
 
+(* [Array.map f a] over the pool's deterministic chunking, at [domains]. *)
+let pool_map ~domains f a =
+  let n = Array.length a in
+  let out = Array.make n 0 in
+  let k = Pool.n_chunks ~grain:64 n in
+  Pool.with_domains domains (fun () ->
+      Pool.run_chunks ~n_chunks:k (fun c ->
+          let lo, hi = Pool.chunk_bounds ~n ~n_chunks:k c in
+          for i = lo to hi - 1 do
+            out.(i) <- f a.(i)
+          done));
+  out
+
 let test_parallel_map_matches_sequential () =
   let a = Array.init 1000 (fun i -> i) in
   let f i = (i * i) + 1 in
@@ -196,14 +209,19 @@ let test_parallel_map_matches_sequential () =
   List.iter
     (fun d ->
       Alcotest.(check (array int))
-        (Printf.sprintf "domains=%d" d) seq
-        (Parallel.map_array ~domains:d f a))
+        (Printf.sprintf "domains=%d" d) seq (pool_map ~domains:d f a))
     [ 1; 2; 3; 8 ]
 
 let test_parallel_empty_and_small () =
-  Alcotest.(check (array int)) "empty" [||] (Parallel.map_array ~domains:4 (fun x -> x) [||]);
+  Alcotest.(check (array int)) "empty" [||] (pool_map ~domains:4 (fun x -> x) [||]);
   Alcotest.(check (array int)) "singleton" [| 7 |]
-    (Parallel.map_array ~domains:4 (fun x -> x + 1) [| 6 |])
+    (pool_map ~domains:4 (fun x -> x + 1) [| 6 |]);
+  let sum n =
+    Pool.with_domains 4 (fun () ->
+        Pool.reduce ~grain:1 ~n (fun lo hi -> hi - lo) ( + ))
+  in
+  Alcotest.(check (option int)) "empty reduce" None (sum 0);
+  Alcotest.(check (option int)) "singleton reduce" (Some 1) (sum 1)
 
 let test_timer_monotone () =
   let t = Timer.create () in
