@@ -131,6 +131,14 @@ awk -F'"disabled_probe_ns":' '/disabled_probe_ns/ { split($2, a, ","); if (a[1] 
 awk -F'"overhead_pct":' '/overhead_pct/ { split($2, a, ","); if (a[1] + 0 >= 15.0) exit 1 }' \
   BENCH_pr8.json || { echo "committed BENCH_pr8.json records >= 15% armed overhead"; exit 1; }
 
+echo "== placement benchmark gate (fbpbench blocks6k, traced, ~10 s)"
+# every placement check (Ok, legal, 0 movebound violations, HPWL repeats)
+# plus the bit-identical traced replay at the hardware domain count and at
+# 1 domain; exit 1 on any failed check
+bash fbpbench/run.sh --workload blocks6k --seed 1 --seconds 1 --trace 1 \
+  > "$tmp/fbpbench.txt" 2>&1 \
+  || { echo "fbpbench blocks6k failed:"; tail -n 20 "$tmp/fbpbench.txt"; exit 1; }
+
 echo "== observability smoke (--trace / --metrics)"
 fbp="dune exec bin/fbp_place.exe --"
 $fbp generate --cells 1500 --seed 7 -o "$tmp/smoke.book" >/dev/null

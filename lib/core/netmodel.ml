@@ -11,7 +11,6 @@ open Fbp_netlist
 
 type system = {
   n_vars : int;  (* movable-cell vars first, then star vars *)
-  var_of_cell : int array;  (* -1 when the cell is fixed for this solve *)
   cells : int array;  (* var -> cell id, -1 for star vars *)
   ax : Fbp_linalg.Csr.t;
   bx : float array;
@@ -33,7 +32,7 @@ type cache = {
 
 let create_cache () = { sx = None; sy = None }
 
-let freeze_cached slot store bld =
+let freeze_cached ~scratch slot store bld =
   match
     match slot with
     | Some s -> Fbp_linalg.Csr.refreeze s bld
@@ -43,27 +42,124 @@ let freeze_cached slot store bld =
     Fbp_obs.Obs.count "netmodel.refreeze_hits";
     t
   | None ->
-    let t, s = Fbp_linalg.Csr.freeze_capture bld in
+    let t, s = Fbp_linalg.Csr.freeze_capture ~scratch bld in
     store s;
     Fbp_obs.Obs.count "netmodel.refreeze_misses";
     t
 
-(* [assemble nl pos ~movable ~nets ~clique_max_degree ~anchor] builds both
-   axis systems.  [anchor cell] returns optional (wx, tx, wy, ty) pulling the
-   cell toward (tx, ty). *)
-let assemble (nl : Netlist.t) (pos : Placement.t) ?cache ~(movable : int array)
-    ?(nets : int array = [||]) ~(clique_max_degree : int)
-    ~(anchor : int -> (float * float * float * float) option) () =
-  let n = Netlist.n_cells nl in
-  let var_of_cell = Array.make n (-1) in
-  Array.iteri (fun v c -> var_of_cell.(c) <- v) movable;
+(* Assembly workspace: everything [assemble] needs besides its result.
+   [var_of_cell] is design-sized and reads -1 for every cell between
+   calls (entries are set for the movable cells and cleared again on the
+   way out, also when an [anchor] raises), the builders are reset rather
+   than reallocated, and the per-net endpoint arrays hold the current
+   net's pins plus one slot for a star centre.  Without a workspace
+   [assemble] makes a fresh one, sized exactly. *)
+type workspace = {
+  mutable var_of_cell : int array;
+  bldx : Fbp_linalg.Csr.builder;
+  bldy : Fbp_linalg.Csr.builder;
+  freeze : Fbp_linalg.Csr.scratch;
+  mutable star_var : int array;  (* per entry of the net list *)
+  mutable ep_var : int array;  (* endpoint var, -1 = fixed *)
+  mutable ep_off_x : float array;  (* pin offset of a movable endpoint *)
+  mutable ep_abs_x : float array;  (* absolute coordinate of a fixed one *)
+  mutable ep_off_y : float array;
+  mutable ep_abs_y : float array;
+}
+
+let make_workspace ~cap_x ~cap_y =
+  {
+    var_of_cell = [||];
+    bldx = Fbp_linalg.Csr.builder ~capacity:cap_x 0;
+    bldy = Fbp_linalg.Csr.builder ~capacity:cap_y 0;
+    freeze = Fbp_linalg.Csr.create_scratch ();
+    star_var = [||];
+    ep_var = [||];
+    ep_off_x = [||];
+    ep_abs_x = [||];
+    ep_off_y = [||];
+    ep_abs_y = [||];
+  }
+
+let create_workspace () = make_workspace ~cap_x:64 ~cap_y:64
+
+(* A global assembly with a cache hit pre-sizes its builders from the
+   captured triplet count, so the round's stream never regrows. *)
+let fresh_workspace cache =
+  let cap = function
+    | Some s -> Fbp_linalg.Csr.structure_count s
+    | None -> 64
+  in
+  match cache with
+  | Some c -> make_workspace ~cap_x:(cap c.sx) ~cap_y:(cap c.sy)
+  | None -> create_workspace ()
+
+let ensure_endpoints ws p =
+  if Array.length ws.ep_var < p + 1 then begin
+    let cap = max (p + 1) (2 * Array.length ws.ep_var) in
+    ws.ep_var <- Array.make cap (-1);
+    ws.ep_off_x <- Array.make cap 0.0;
+    ws.ep_abs_x <- Array.make cap 0.0;
+    ws.ep_off_y <- Array.make cap 0.0;
+    ws.ep_abs_y <- Array.make cap 0.0
+  end
+
+(* One spring of stiffness [w] between endpoints [a] and [b] of the
+   current net.  A movable endpoint is (var, offset); a fixed one has
+   var = -1 and sits at the absolute coordinate [abs] (only the field
+   matching an endpoint's kind is written or read).  Endpoints live in
+   flat arrays and [w] arrives as a parameter, so a spring allocates
+   nothing (the compiler has no flambda to unbox tuples or floats). *)
+let spring bld rhs w (var : int array) (off : float array) (abs : float array)
+    a b =
+  let va = Array.unsafe_get var a and vb = Array.unsafe_get var b in
+  if va >= 0 && vb >= 0 then begin
+    if va <> vb then begin
+      let da = Array.unsafe_get off a and db = Array.unsafe_get off b in
+      Fbp_linalg.Csr.add_spring bld va vb w;
+      rhs.(va) <- rhs.(va) +. (w *. (db -. da));
+      rhs.(vb) <- rhs.(vb) +. (w *. (da -. db))
+    end
+  end
+  else if va >= 0 then begin
+    Fbp_linalg.Csr.add_diag bld va w;
+    rhs.(va) <- rhs.(va) +. (w *. (Array.unsafe_get abs b -. Array.unsafe_get off a))
+  end
+  else if vb >= 0 then begin
+    Fbp_linalg.Csr.add_diag bld vb w;
+    rhs.(vb) <- rhs.(vb) +. (w *. (Array.unsafe_get abs a -. Array.unsafe_get off b))
+  end
+
+(* All springs of one [p]-pin net along one axis: a clique over the pins,
+   or with [star] one spring from each pin to the centre endpoint [p]. *)
+let net_springs bld rhs w ~star p var off abs =
+  if star then
+    for i = 0 to p - 1 do
+      spring bld rhs w var off abs i p
+    done
+  else
+    for i = 0 to p - 1 do
+      for j = i + 1 to p - 1 do
+        spring bld rhs w var off abs i j
+      done
+    done
+
+(* Both axis systems, with [ws.var_of_cell] already set for [movable]. *)
+let assemble_into ws (nl : Netlist.t) (pos : Placement.t) ~cache
+    ~(movable : int array) ~(nets : int array) ~(clique_max_degree : int)
+    ~(anchor : int -> (float * float * float * float) option) =
+  let var_of_cell = ws.var_of_cell in
   let n_cell_vars = Array.length movable in
   let net_ids =
     if Array.length nets > 0 then nets
     else Array.init (Netlist.n_nets nl) (fun i -> i)
   in
+  let n_net_ids = Array.length net_ids in
   (* star variables: one per sufficiently wide net with >= 1 movable pin *)
-  let star_var = Array.make (Array.length net_ids) (-1) in
+  if Array.length ws.star_var < n_net_ids then
+    ws.star_var <- Array.make n_net_ids (-1);
+  let star_var = ws.star_var in
+  Array.fill star_var 0 n_net_ids (-1);
   let n_vars = ref n_cell_vars in
   Array.iteri
     (fun k ni ->
@@ -82,65 +178,49 @@ let assemble (nl : Netlist.t) (pos : Placement.t) ?cache ~(movable : int array)
       end)
     net_ids;
   let nv = !n_vars in
-  let bldx = Fbp_linalg.Csr.builder nv and bldy = Fbp_linalg.Csr.builder nv in
+  let bldx = ws.bldx and bldy = ws.bldy in
+  Fbp_linalg.Csr.reset ~dim:nv bldx;
+  Fbp_linalg.Csr.reset ~dim:nv bldy;
   let bx = Array.make nv 0.0 and by = Array.make nv 0.0 in
-  (* One spring between two pin endpoints.  Endpoint = (var, offset) with
-     var = -1 meaning fixed at absolute coordinate [abs]. *)
-  let spring axis_bld rhs w (va, da, pa) (vb, db, pb) =
-    if va >= 0 && vb >= 0 then begin
-      if va <> vb then begin
-        Fbp_linalg.Csr.add_spring axis_bld va vb w;
-        rhs.(va) <- rhs.(va) +. (w *. (db -. da));
-        rhs.(vb) <- rhs.(vb) +. (w *. (da -. db))
-      end
-    end
-    else if va >= 0 then begin
-      Fbp_linalg.Csr.add_diag axis_bld va w;
-      rhs.(va) <- rhs.(va) +. (w *. (pb -. da))
-    end
-    else if vb >= 0 then begin
-      Fbp_linalg.Csr.add_diag axis_bld vb w;
-      rhs.(vb) <- rhs.(vb) +. (w *. (pa -. db))
-    end
-  in
-  (* Endpoint descriptors per axis for a pin. *)
-  let endpoint_x (pin : Netlist.pin) =
-    if pin.Netlist.cell < 0 then (-1, 0.0, pin.Netlist.dx)
-    else
-      let v = var_of_cell.(pin.Netlist.cell) in
-      if v >= 0 then (v, pin.Netlist.dx, 0.0)
-      else (-1, 0.0, pos.Placement.x.(pin.Netlist.cell) +. pin.Netlist.dx)
-  in
-  let endpoint_y (pin : Netlist.pin) =
-    if pin.Netlist.cell < 0 then (-1, 0.0, pin.Netlist.dy)
-    else
-      let v = var_of_cell.(pin.Netlist.cell) in
-      if v >= 0 then (v, pin.Netlist.dy, 0.0)
-      else (-1, 0.0, pos.Placement.y.(pin.Netlist.cell) +. pin.Netlist.dy)
-  in
   Array.iteri
     (fun k ni ->
       let net = nl.Netlist.nets.(ni) in
       let pins = net.Netlist.pins in
       let p = Array.length pins in
       if p >= 2 then begin
+        ensure_endpoints ws p;
+        let var = ws.ep_var in
+        for i = 0 to p - 1 do
+          let pin = pins.(i) in
+          let c = pin.Netlist.cell in
+          let v = if c < 0 then -1 else var_of_cell.(c) in
+          var.(i) <- v;
+          if v >= 0 then begin
+            ws.ep_off_x.(i) <- pin.Netlist.dx;
+            ws.ep_off_y.(i) <- pin.Netlist.dy
+          end
+          else if c < 0 then begin
+            ws.ep_abs_x.(i) <- pin.Netlist.dx;
+            ws.ep_abs_y.(i) <- pin.Netlist.dy
+          end
+          else begin
+            ws.ep_abs_x.(i) <- pos.Placement.x.(c) +. pin.Netlist.dx;
+            ws.ep_abs_y.(i) <- pos.Placement.y.(c) +. pin.Netlist.dy
+          end
+        done;
         let w_pair = 2.0 *. net.Netlist.weight /. float_of_int p in
         if star_var.(k) < 0 then begin
           (* clique (also used for wide all-fixed nets, which cost nothing) *)
-          for i = 0 to p - 1 do
-            for j = i + 1 to p - 1 do
-              spring bldx bx w_pair (endpoint_x pins.(i)) (endpoint_x pins.(j));
-              spring bldy by w_pair (endpoint_y pins.(i)) (endpoint_y pins.(j))
-            done
-          done
+          net_springs bldx bx w_pair ~star:false p var ws.ep_off_x ws.ep_abs_x;
+          net_springs bldy by w_pair ~star:false p var ws.ep_off_y ws.ep_abs_y
         end
         else begin
-          let s = star_var.(k) in
+          var.(p) <- star_var.(k);
+          ws.ep_off_x.(p) <- 0.0;
+          ws.ep_off_y.(p) <- 0.0;
           let w_star = w_pair *. float_of_int p /. float_of_int (p - 1) in
-          for i = 0 to p - 1 do
-            spring bldx bx w_star (endpoint_x pins.(i)) (s, 0.0, 0.0);
-            spring bldy by w_star (endpoint_y pins.(i)) (s, 0.0, 0.0)
-          done
+          net_springs bldx bx w_star ~star:true p var ws.ep_off_x ws.ep_abs_x;
+          net_springs bldy by w_star ~star:true p var ws.ep_off_y ws.ep_abs_y
         end
       end)
     net_ids;
@@ -167,12 +247,38 @@ let assemble (nl : Netlist.t) (pos : Placement.t) ?cache ~(movable : int array)
     Fbp_linalg.Csr.add_diag bldy v 1e-9
   done;
   let cells = Array.make nv (-1) in
-  Array.iteri (fun v c -> cells.(v) <- c) movable;
+  Array.blit movable 0 cells 0 n_cell_vars;
+  let scratch = ws.freeze in
   let ax, ay =
     match cache with
-    | None -> (Fbp_linalg.Csr.freeze bldx, Fbp_linalg.Csr.freeze bldy)
+    | None ->
+      ( Fbp_linalg.Csr.freeze ~scratch bldx,
+        Fbp_linalg.Csr.freeze ~scratch bldy )
     | Some c ->
-      ( freeze_cached c.sx (fun s -> c.sx <- Some s) bldx,
-        freeze_cached c.sy (fun s -> c.sy <- Some s) bldy )
+      ( freeze_cached ~scratch c.sx (fun s -> c.sx <- Some s) bldx,
+        freeze_cached ~scratch c.sy (fun s -> c.sy <- Some s) bldy )
   in
-  { n_vars = nv; var_of_cell; cells; ax; bx; ay; by }
+  { n_vars = nv; cells; ax; bx; ay; by }
+
+(* [assemble nl pos ~movable ~nets ~clique_max_degree ~anchor] builds both
+   axis systems.  [anchor cell] returns optional (wx, tx, wy, ty) pulling the
+   cell toward (tx, ty). *)
+let assemble (nl : Netlist.t) (pos : Placement.t) ?cache ?workspace
+    ~(movable : int array) ?(nets : int array = [||]) ~(clique_max_degree : int)
+    ~(anchor : int -> (float * float * float * float) option) () =
+  let ws =
+    match workspace with Some ws -> ws | None -> fresh_workspace cache
+  in
+  let n = Netlist.n_cells nl in
+  if Array.length ws.var_of_cell < n then ws.var_of_cell <- Array.make n (-1);
+  let var_of_cell = ws.var_of_cell in
+  Array.iter
+    (fun c ->
+      if c < 0 || c >= n then
+        invalid_arg "Netmodel.assemble: movable cell out of range")
+    movable;
+  Array.iteri (fun v c -> var_of_cell.(c) <- v) movable;
+  Fun.protect
+    ~finally:(fun () -> Array.iter (fun c -> var_of_cell.(c) <- -1) movable)
+    (fun () ->
+      assemble_into ws nl pos ~cache ~movable ~nets ~clique_max_degree ~anchor)

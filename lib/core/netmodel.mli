@@ -7,7 +7,6 @@ open Fbp_netlist
 
 type system = {
   n_vars : int;  (** movable-cell vars first, then star vars *)
-  var_of_cell : int array;  (** -1 when the cell is fixed for this solve *)
   cells : int array;  (** var → cell id, -1 for star vars *)
   ax : Fbp_linalg.Csr.t;
   bx : float array;
@@ -23,17 +22,30 @@ type cache
 
 val create_cache : unit -> cache
 
+(** Reusable assembly buffers: a design-sized cell → variable map (all -1
+    between calls, restored also when [anchor] raises), both triplet
+    builders, the freeze temporaries and the per-net endpoint arrays.  A
+    caller that assembles many small systems keeps one and allocates
+    little more than the results.  Not safe for concurrent use: give each
+    domain its own. *)
+type workspace
+
+val create_workspace : unit -> workspace
+
 (** [assemble nl pos ~movable ~nets ~clique_max_degree ~anchor ()] builds
     both axis systems.  [nets] restricts assembly to a net subset (default:
     all); [anchor cell] returns an optional [(wx, tx, wy, ty)] pulling the
     cell toward [(tx, ty)].  Cells outside [movable] contribute constants
     evaluated at [pos] — the "fixed cells outside W" of the local QP.
-    [cache] enables symbolic sparsity reuse across calls; results are
-    bit-identical with or without it. *)
+    [cache] enables symbolic sparsity reuse across calls; on a hit the
+    builders are sized from the cached triplet count.  [workspace] reuses
+    the assembly buffers (a fresh, exactly sized set otherwise).  Results
+    are bit-identical with or without either. *)
 val assemble :
   Netlist.t ->
   Placement.t ->
   ?cache:cache ->
+  ?workspace:workspace ->
   movable:int array ->
   ?nets:int array ->
   clique_max_degree:int ->

@@ -22,12 +22,16 @@ type stats = {
    the x and y systems are independent. *)
 let qp_seq_vars = 4096
 
-let solve_system (cfg : Config.t) (sys : Netmodel.system) (pos : Placement.t) =
-  Fbp_util.Pool.with_domains cfg.Config.domains @@ fun () ->
+(* The two axis solves of an assembled system, warm-started from [pos]
+   (star vars start at 0, pulled in by their regularizer).  The axis
+   systems are independent, so with [fork] they run concurrently on the
+   pool when the system is large enough; each solve defers its metrics
+   ([record:false]) and the caller records them after the join in fixed
+   x-then-y order, keeping observation streams deterministic regardless
+   of interleaving. *)
+let solve_axes ~fork ~max_iter ~tol (sys : Netmodel.system) (pos : Placement.t) =
   let nv = sys.Netmodel.n_vars in
   let x = Array.make nv 0.0 and y = Array.make nv 0.0 in
-  (* warm start from current positions; star vars start at the mean of their
-     net, approximated by 0 + regularizer pull (harmless) *)
   for v = 0 to nv - 1 do
     let c = sys.Netmodel.cells.(v) in
     if c >= 0 then begin
@@ -35,16 +39,9 @@ let solve_system (cfg : Config.t) (sys : Netmodel.system) (pos : Placement.t) =
       y.(v) <- pos.Placement.y.(c)
     end
   done;
-  (* The two axis systems are independent, so they run concurrently on the
-     pool.  Each solve defers its metrics ([record:false]); we record them
-     after the join in fixed x-then-y order, keeping observation streams
-     deterministic regardless of interleaving. *)
-  let solve a b v () =
-    Fbp_linalg.Cg.solve ~record:false ~max_iter:cfg.Config.cg_max_iter
-      ~tol:cfg.Config.cg_tol a b v
-  in
+  let solve a b v () = Fbp_linalg.Cg.solve ~record:false ~max_iter ~tol a b v in
   let sx, sy =
-    if nv < qp_seq_vars then
+    if (not fork) || nv < qp_seq_vars then
       ( solve sys.Netmodel.ax sys.Netmodel.bx x (),
         solve sys.Netmodel.ay sys.Netmodel.by y () )
     else
@@ -52,9 +49,17 @@ let solve_system (cfg : Config.t) (sys : Netmodel.system) (pos : Placement.t) =
         (solve sys.Netmodel.ax sys.Netmodel.bx x)
         (solve sys.Netmodel.ay sys.Netmodel.by y)
   in
+  (x, y, sx, sy)
+
+let solve_system (cfg : Config.t) (sys : Netmodel.system) (pos : Placement.t) =
+  Fbp_util.Pool.with_domains cfg.Config.domains @@ fun () ->
+  let x, y, sx, sy =
+    solve_axes ~fork:true ~max_iter:cfg.Config.cg_max_iter
+      ~tol:cfg.Config.cg_tol sys pos
+  in
   Fbp_linalg.Cg.record_stats sx;
   Fbp_linalg.Cg.record_stats sy;
-  for v = 0 to nv - 1 do
+  for v = 0 to sys.Netmodel.n_vars - 1 do
     let c = sys.Netmodel.cells.(v) in
     if c >= 0 then begin
       pos.Placement.x.(c) <- x.(v);
@@ -62,7 +67,7 @@ let solve_system (cfg : Config.t) (sys : Netmodel.system) (pos : Placement.t) =
     end
   done;
   {
-    vars = nv;
+    vars = sys.Netmodel.n_vars;
     cg_iterations = sx.Fbp_linalg.Cg.iterations + sy.Fbp_linalg.Cg.iterations;
     residual = Float.max sx.Fbp_linalg.Cg.residual sy.Fbp_linalg.Cg.residual;
     converged = sx.Fbp_linalg.Cg.converged && sy.Fbp_linalg.Cg.converged;
@@ -88,63 +93,75 @@ let solve_global (cfg : Config.t) (nl : Netlist.t) (pos : Placement.t) ?cache
       in
       solve_system cfg sys pos)
 
-(* Reusable net-dedup scratch for [solve_local]: a stamp array over net ids
-   (stamp.(ni) = current epoch means "already collected") plus a growable
-   id buffer.  Replaces the seed's per-call [Hashtbl]: no hashing, no
-   rehash allocations, and collection order is deterministic by
-   construction (cells in order, each cell's net list in order). *)
-type scratch = {
+(* Local-QP workspace: the net-model assembly buffers plus the net-dedup
+   scratch, a stamp array over net ids (stamp.(ni) = current epoch means
+   "already collected") and a growable id buffer.  The dedup replaces the
+   seed's per-call [Hashtbl]: no hashing, no rehash allocations, and
+   collection order is deterministic by construction (cells in order,
+   each cell's net list in order). *)
+type workspace = {
+  asm : Netmodel.workspace;
   mutable stamp : int array;
   mutable buf : int array;
   mutable epoch : int;
 }
 
-let create_scratch () = { stamp = [||]; buf = Array.make 64 0; epoch = 0 }
+let create_workspace () =
+  {
+    asm = Netmodel.create_workspace ();
+    stamp = [||];
+    buf = Array.make 64 0;
+    epoch = 0;
+  }
 
-let dedup_nets scratch ~n_nets ~(cell_nets : int list array)
-    ~(cells : int array) =
-  if Array.length scratch.stamp < n_nets then begin
-    scratch.stamp <- Array.make n_nets 0;
-    scratch.epoch <- 0
+let dedup_nets ws ~n_nets ~(cell_nets : int list array) ~(cells : int array) =
+  if Array.length ws.stamp < n_nets then begin
+    ws.stamp <- Array.make n_nets 0;
+    ws.epoch <- 0
   end;
-  scratch.epoch <- scratch.epoch + 1;
-  let epoch = scratch.epoch and stamp = scratch.stamp in
+  ws.epoch <- ws.epoch + 1;
+  let epoch = ws.epoch and stamp = ws.stamp in
   let count = ref 0 in
   let push ni =
     if Array.unsafe_get stamp ni <> epoch then begin
       Array.unsafe_set stamp ni epoch;
-      if !count = Array.length scratch.buf then begin
+      if !count = Array.length ws.buf then begin
         let buf' = Array.make (2 * !count) 0 in
-        Array.blit scratch.buf 0 buf' 0 !count;
-        scratch.buf <- buf'
+        Array.blit ws.buf 0 buf' 0 !count;
+        ws.buf <- buf'
       end;
-      scratch.buf.(!count) <- ni;
+      ws.buf.(!count) <- ni;
       incr count
     end
   in
   Array.iter (fun c -> List.iter push cell_nets.(c)) cells;
-  let nets = Array.sub scratch.buf 0 !count in
+  let nets = Array.sub ws.buf 0 !count in
   Array.sort Int.compare nets;  (* determinism: fixed assembly order *)
   nets
 
-(* Local QP over [cells] only; [cell_nets] is the cached incidence map.
-   Only nets touching a movable cell are assembled.  [scratch] lets a
-   sequential caller (the repartitioner) reuse the dedup arrays across
-   windows. *)
-let solve_local (cfg : Config.t) (nl : Netlist.t) (pos : Placement.t) ?scratch
-    ~(cell_nets : int list array) ~(cells : int array) ~anchor () =
-  if Array.length cells = 0 then
-    { vars = 0; cg_iterations = 0; residual = 0.0; converged = true }
+(* Local QP over [cells] only, everything else fixed; [cell_nets] is the
+   cached incidence map.  Only nets touching a movable cell are assembled.
+   The solved positions of cells.(i) land in qx.(i)/qy.(i) — [pos] is only
+   read — and the CG stats come back unrecorded, so concurrent callers
+   (realization nodes) can record them in a fixed order. *)
+let solve_local ws (cfg : Config.t) (nl : Netlist.t) (pos : Placement.t)
+    ~max_iter ~tol ~(cell_nets : int list array) ~(cells : int array) ~anchor
+    ~qx ~qy =
+  let n = Array.length cells in
+  if n = 0 then
+    let none = { Fbp_linalg.Cg.iterations = 0; residual = 0.0; converged = true } in
+    (none, none)
   else begin
-    let scratch =
-      match scratch with Some s -> s | None -> create_scratch ()
-    in
-    let nets =
-      dedup_nets scratch ~n_nets:(Netlist.n_nets nl) ~cell_nets ~cells
-    in
+    let nets = dedup_nets ws ~n_nets:(Netlist.n_nets nl) ~cell_nets ~cells in
     let sys =
-      Netmodel.assemble nl pos ~movable:cells ~nets
+      Netmodel.assemble nl pos ~workspace:ws.asm ~movable:cells ~nets
         ~clique_max_degree:cfg.Config.clique_max_degree ~anchor ()
     in
-    solve_system cfg sys pos
+    (* no [fork2]: realization runs local QPs inside a lease that holds
+       every free worker, and a nested region that finds none spawns new
+       domains, which then join every minor-GC stop-the-world *)
+    let x, y, sx, sy = solve_axes ~fork:false ~max_iter ~tol sys pos in
+    Array.blit x 0 qx 0 n;
+    Array.blit y 0 qy 0 n;
+    (sx, sy)
   end

@@ -28,26 +28,24 @@ val solve_global :
   ?cache:Netmodel.cache ->
   anchor:(int -> (float * float * float * float) option) -> unit -> stats
 
-(** Reusable net-dedup scratch for {!solve_local}: stamp array over net
-    ids plus a growable buffer — allocation-free dedup, deterministic
-    collection order.  Not safe for concurrent use; give each sequential
-    caller its own. *)
-type scratch
+(** Local-QP workspace: {!Netmodel.workspace} plus an epoch-stamped
+    net-dedup array.  Not safe for concurrent use: give each domain its
+    own. *)
+type workspace
 
-val create_scratch : unit -> scratch
+val create_workspace : unit -> workspace
 
-(** Deduplicated, sorted ids of every net incident to [cells].  Epoch-stamp
-    dedup over the scratch — no per-call allocation beyond the result
-    array.  Exposed for realization's per-node net collection. *)
-val dedup_nets :
-  scratch -> n_nets:int -> cell_nets:int list array -> cells:int array ->
-  int array
-
-(** Local QP over [cells] only, everything else fixed; [cell_nets] is the
-    cached incidence map from {!Netlist.cell_nets}.  [scratch] reuses the
-    net-dedup arrays across calls (one is allocated per call otherwise). *)
+(** [solve_local ws cfg nl pos ~max_iter ~tol ~cell_nets ~cells ~anchor
+    ~qx ~qy] solves the local QP over [cells] only, everything else fixed
+    at [pos] (which is not written); [cell_nets] is the cached incidence
+    map from {!Netlist.cell_nets}.  The solved position of [cells.(i)]
+    lands in [qx.(i)], [qy.(i)].  Returns the x and y CG stats unrecorded:
+    the caller records them ({!Fbp_linalg.Cg.record_stats}) in a fixed
+    order. *)
 val solve_local :
-  Config.t -> Netlist.t -> Placement.t ->
-  ?scratch:scratch ->
+  workspace -> Config.t -> Netlist.t -> Placement.t ->
+  max_iter:int -> tol:float ->
   cell_nets:int list array -> cells:int array ->
-  anchor:(int -> (float * float * float * float) option) -> unit -> stats
+  anchor:(int -> (float * float * float * float) option) ->
+  qx:float array -> qy:float array ->
+  Fbp_linalg.Cg.stats * Fbp_linalg.Cg.stats

@@ -211,7 +211,6 @@ let realize ?(on_step : (step -> unit) option) (cfg : Config.t)
       (c, proj.Point.x, proj.Point.y, To_piece pid, true)
     end
   in
-  let n_nets = Netlist.n_nets nl in
   (* Inputs of one node, snapshotted from the shared [members]/[outgoing]
      tables *before* the parallel map: worker domains must never touch the
      mutable tables (unsynchronized Hashtbl reads race with the commit
@@ -237,8 +236,8 @@ let realize ?(on_step : (step -> unit) option) (cfg : Config.t)
   (* process one node against read-only inputs; returns the moves plus the
      local-QP solver stats (recorded by the caller post-join in wave order,
      so the metrics stream stays deterministic at any domain count).
-     [scratch] is chunk-private (net-dedup stamp arrays). *)
-  let process_node ~scratch ni =
+     [ws] belongs to the executing domain (assembly buffers, net dedup). *)
+  let process_node ~ws ni =
     let w = ni.nw and m = ni.nm in
     let cells = ni.ncells and transit_arcs = ni.narcs in
     if Array.length cells = 0 then ((w, m), [||], None)
@@ -247,38 +246,12 @@ let realize ?(on_step : (step -> unit) option) (cfg : Config.t)
       (* 1. local QP for connectivity (optional) *)
       let qx = ni.nqx and qy = ni.nqy in
       if cfg.Config.local_qp && Array.length cells > 1 then begin
-        let nets = Qp.dedup_nets scratch ~n_nets ~cell_nets ~cells in
-        let win_rect = grid.Grid.windows.(w).Grid.rect in
-        let ctr = Rect.center win_rect in
-        let sys =
-          Netmodel.assemble nl pos ~movable:cells ~nets
-            ~clique_max_degree:cfg.Config.clique_max_degree
-            ~anchor:(fun _ -> Some (1e-4, ctr.Point.x, 1e-4, ctr.Point.y))
-            ()
-        in
-        let xv = Array.make sys.Netmodel.n_vars 0.0 in
-        let yv = Array.make sys.Netmodel.n_vars 0.0 in
-        Array.iteri
-          (fun v c ->
-            if c >= 0 then begin
-              xv.(v) <- pos.Placement.x.(c);
-              yv.(v) <- pos.Placement.y.(c)
-            end)
-          sys.Netmodel.cells;
-        let st_x =
-          Fbp_linalg.Cg.solve ~record:false ~max_iter:60 ~tol:1e-4
-            sys.Netmodel.ax sys.Netmodel.bx xv
-        in
-        let st_y =
-          Fbp_linalg.Cg.solve ~record:false ~max_iter:60 ~tol:1e-4
-            sys.Netmodel.ay sys.Netmodel.by yv
-        in
-        qp_stats := Some (st_x, st_y);
-        Array.iteri
-          (fun i _ ->
-            qx.(i) <- xv.(i);
-            qy.(i) <- yv.(i))
-          cells
+        let ctr = Rect.center grid.Grid.windows.(w).Grid.rect in
+        let pull = Some (1e-4, ctr.Point.x, 1e-4, ctr.Point.y) in
+        qp_stats :=
+          Some
+            (Qp.solve_local ws cfg nl pos ~max_iter:60 ~tol:1e-4 ~cell_nets
+               ~cells ~anchor:(fun _ -> pull) ~qx ~qy)
       end;
       (* 2. transportation sinks: region pieces + outgoing transit buffers *)
       let piece_sinks =
@@ -415,18 +388,18 @@ let realize ?(on_step : (step -> unit) option) (cfg : Config.t)
   let lease = Fbp_util.Pool.lease () in
   let helpers = Fbp_util.Pool.lease_helpers lease in
   let d0 = Fbp_util.Pool.n_dispatches () in
-  (* Chunk-private net-dedup scratches, persistent across waves (slot [c]
-     is only ever touched by the owner of chunk [c - 1]; the lease's
-     completion latch orders cross-wave reuse).  Slot 0 backs the
-     sequential fast path. *)
-  let scratches = Array.make (max_wave_chunks + 1) None in
-  let scratch_for slot =
-    match scratches.(slot) with
-    | Some s -> s
+  (* One local-QP workspace per domain of the lease, created on first use
+     and dropped with this call: slot 0 is the calling domain (also the
+     sequential path), slot i helper i.  Keeping them per chunk slot (up
+     to 65) or for the process lifetime measurably raised peak RSS. *)
+  let workspaces = Array.make (helpers + 1) None in
+  let workspace_for slot =
+    match workspaces.(slot) with
+    | Some ws -> ws
     | None ->
-      let s = Qp.create_scratch () in
-      scratches.(slot) <- Some s;
-      s
+      let ws = Qp.create_workspace () in
+      workspaces.(slot) <- Some ws;
+      ws
   in
   let run_wave wave_arr =
     let n_nodes = Array.length wave_arr in
@@ -450,18 +423,18 @@ let realize ?(on_step : (step -> unit) option) (cfg : Config.t)
           acc := 0
         end
       done;
-      Fbp_util.Pool.lease_run lease ~n_chunks:!k (fun c ->
-          let scratch = scratch_for (c + 1) in
+      Fbp_util.Pool.lease_run lease ~n_chunks:!k (fun ~slot c ->
+          let ws = workspace_for slot in
           for i = starts.(c) to starts.(c + 1) - 1 do
-            out.(i) <- process_node ~scratch wave_arr.(i)
+            out.(i) <- process_node ~ws wave_arr.(i)
           done)
     end
     else begin
       (* sequential fast path: same map-all-then-commit shape as the
          parallel path, so results are bitwise identical *)
-      let scratch = scratch_for 0 in
+      let ws = workspace_for 0 in
       for i = 0 to n_nodes - 1 do
-        out.(i) <- process_node ~scratch wave_arr.(i)
+        out.(i) <- process_node ~ws wave_arr.(i)
       done
     end;
     out

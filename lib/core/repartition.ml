@@ -28,14 +28,14 @@ type stats = {
 }
 
 (* One sweep over all [span] x [span] window blocks (stride = span so each
-   window is visited once per sweep). *)
+   window is visited once per sweep); updates positions and
+   [piece_of_cell] in place.  [qp_ws] is the refinement's local-QP
+   workspace. *)
 let sweep ?(span = 2) (cfg : Config.t) (inst : Fbp_movebound.Instance.t)
     (regions : Fbp_movebound.Regions.t) (grid : Grid.t) (pos : Placement.t)
-    ~(piece_of_cell : int array) ~(cell_nets : int list array) =
+    ~qp_ws ~(piece_of_cell : int array) ~(cell_nets : int list array) =
   let t0 = Fbp_util.Timer.now () in
   let nl = inst.Fbp_movebound.Instance.design.Design.netlist in
-  (* net-dedup scratch shared across this sweep's local QPs *)
-  let qp_scratch = Qp.create_scratch () in
   let k = Fbp_movebound.Instance.n_movebounds inst in
   let hpwl_before = Hpwl.total nl pos in
   let n_blocks = ref 0 and n_moved = ref 0 in
@@ -67,10 +67,22 @@ let sweep ?(span = 2) (cfg : Config.t) (inst : Fbp_movebound.Instance.t)
       if Array.length cells > 1 && List.length pieces > 1 then begin
         incr n_blocks;
         (* local QP over the block (everything else fixed) *)
-        if cfg.Config.local_qp then
-          ignore
-            (Qp.solve_local cfg nl pos ~scratch:qp_scratch ~cell_nets ~cells
-               ~anchor:(fun _ -> None) ());
+        if cfg.Config.local_qp then begin
+          let n = Array.length cells in
+          let qx = Array.make n 0.0 and qy = Array.make n 0.0 in
+          let sx, sy =
+            Qp.solve_local qp_ws cfg nl pos ~max_iter:cfg.Config.cg_max_iter
+              ~tol:cfg.Config.cg_tol ~cell_nets ~cells ~anchor:(fun _ -> None)
+              ~qx ~qy
+          in
+          Fbp_linalg.Cg.record_stats sx;
+          Fbp_linalg.Cg.record_stats sy;
+          Array.iteri
+            (fun i c ->
+              pos.Placement.x.(c) <- qx.(i);
+              pos.Placement.y.(c) <- qy.(i))
+            cells
+        end;
         (* transportation among the block's pieces; capacities = the piece
            capacities (global feasibility already holds, so the block's
            cells fit its pieces by induction) *)
@@ -150,7 +162,9 @@ let refine ?(sweeps = 1) ?(span = 2) (cfg : Config.t)
   | Some grid ->
     let nl = inst.Fbp_movebound.Instance.design.Design.netlist in
     let cell_nets = Netlist.cell_nets nl in
+    (* one local-QP workspace for the whole (sequential) refinement *)
+    let qp_ws = Qp.create_workspace () in
     List.init sweeps (fun i ->
         ignore i;
         sweep ~span cfg inst report.Placer.regions grid report.Placer.placement
-          ~piece_of_cell:report.Placer.piece_of_cell ~cell_nets)
+          ~qp_ws ~piece_of_cell:report.Placer.piece_of_cell ~cell_nets)

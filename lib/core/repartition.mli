@@ -11,19 +11,6 @@ type stats = {
   time : float;
 }
 
-(** One sweep over all [span]×[span] blocks; updates positions and
-    [piece_of_cell] in place. *)
-val sweep :
-  ?span:int ->
-  Config.t ->
-  Fbp_movebound.Instance.t ->
-  Fbp_movebound.Regions.t ->
-  Grid.t ->
-  Fbp_netlist.Placement.t ->
-  piece_of_cell:int array ->
-  cell_nets:int list array ->
-  stats
-
 (** [refine cfg inst report] runs [sweeps] passes over a finished
     {!Placer.place} report (no-op when the report has no final grid),
     with all pool work at [cfg.domains]. *)

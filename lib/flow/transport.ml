@@ -117,41 +117,44 @@ let solve_impl ?(max_steps = 0) p =
      done;
      let total_mass = Array.fold_left ( +. ) 0.0 p.sizes in
      let tol = 1e-7 *. Float.max 1.0 total_mass in
-     (* Valid cheapest entry of heap (u, v): cell must still sit at u. *)
+     (* Valid cheapest entry of heap (u, v): cell must still sit at u.
+        Keys never go stale otherwise — an entry's key is
+        cost(i, v) - cost(i, u) as computed when it was pushed, and costs
+        are fixed for the solve — so the cell's mass at u is the whole
+        test, and the hot Bellman-Ford loops below never re-evaluate
+        [p.cost]. *)
      let rec arc_weight u v =
-       match Fbp_util.Pq.peek (heap u v) with
-       | None -> None
-       | Some (key, i) ->
-         if frac_at frac i u > eps && Float.abs (key -. (p.cost i v -. p.cost i u)) <= 1e-9
-         then Some key
-         else begin
-           ignore (Fbp_util.Pq.pop (heap u v));
-           arc_weight u v
-         end
+       let h = heap u v in
+       if Fbp_util.Pq.is_empty h then None
+       else if frac_at frac (Fbp_util.Pq.min_value h) u > eps then
+         Some (Fbp_util.Pq.min_key h)
+       else begin
+         Fbp_util.Pq.drop_min h;
+         arc_weight u v
+       end
      in
      (* Move up to [need] mass from u to v, cheapest cells first.  Returns the
         mass actually moved (= need unless u runs out of movable mass). *)
      let move_mass u v need =
+       let h = heap u v in
        let moved = ref 0.0 in
-       while !moved < need -. eps &&
-             (match Fbp_util.Pq.peek (heap u v) with Some _ -> true | None -> false) do
-         match Fbp_util.Pq.pop (heap u v) with
-         | None -> ()
-         | Some (key, i) ->
-           let fu = frac_at frac i u in
-           if fu > eps && Float.abs (key -. (p.cost i v -. p.cost i u)) <= 1e-9 then begin
-             let available = fu *. p.sizes.(i) in
-             let take = Float.min available (need -. !moved) in
-             let df = take /. p.sizes.(i) in
-             set_frac frac i u (fu -. df);
-             set_frac frac i v (frac_at frac i v +. df);
-             load.(u) <- load.(u) -. take;
-             load.(v) <- load.(v) +. take;
-             moved := !moved +. take;
-             enqueue_cell i v;
-             (* Remainder still at u keeps its (already popped) candidacy. *)
-             if frac_at frac i u > eps then Fbp_util.Pq.push (heap u v) key i
-           end
+       while !moved < need -. eps && not (Fbp_util.Pq.is_empty h) do
+         let key = Fbp_util.Pq.min_key h and i = Fbp_util.Pq.min_value h in
+         Fbp_util.Pq.drop_min h;
+         let fu = frac_at frac i u in
+         if fu > eps then begin
+           let available = fu *. p.sizes.(i) in
+           let take = Float.min available (need -. !moved) in
+           let df = take /. p.sizes.(i) in
+           set_frac frac i u (fu -. df);
+           set_frac frac i v (frac_at frac i v +. df);
+           load.(u) <- load.(u) -. take;
+           load.(v) <- load.(v) +. take;
+           moved := !moved +. take;
+           enqueue_cell i v;
+           (* Remainder still at u keeps its (already popped) candidacy. *)
+           if frac_at frac i u > eps then Fbp_util.Pq.push h key i
+         end
        done;
        !moved
      in
@@ -341,12 +344,11 @@ let solve_impl ?(max_steps = 0) p =
              match arc_weight u v with
              | None -> None
              | Some w ->
-               (match Fbp_util.Pq.peek (heap u v) with
-                | Some (_, i) ->
-                  total_w := !total_w +. w;
-                  amount := Float.min !amount (frac_at frac i u *. p.sizes.(i));
-                  Some (u, v)
-                | None -> None))
+               (* [arc_weight] left a valid entry on top *)
+               let i = Fbp_util.Pq.min_value (heap u v) in
+               total_w := !total_w +. w;
+               amount := Float.min !amount (frac_at frac i u *. p.sizes.(i));
+               Some (u, v))
            arcs
        in
        (* A cycle that is negative only by an epsilon, or that can shift

@@ -16,11 +16,11 @@
      (col, val) tuples;
    - across QP rounds the sparsity pattern is fixed (same nets, same
      movable set), so [freeze_capture] additionally records the symbolic
-     structure — the raw triplet (row, col) sequence plus a permutation
-     from triplet slot to CSR slot — and [refreeze] re-assembles the next
-     round as a flat value sweep: verify the triplet stream matches
-     (O(count) int compares, falling back to a full freeze when the
-     topology changed), zero the values, scatter-accumulate.  Value
+     structure — a permutation from triplet slot to CSR slot next to the
+     frozen index arrays — and [refreeze] re-assembles the next round as
+     a flat value sweep: check each triplet against the (row, col) of its
+     slot while scatter-accumulating (O(count), falling back to a full
+     freeze when the topology changed).  Value
      accumulation order equals the fresh-freeze order (insertion order per
      duplicate group), so a reused and a fresh assembly are bit-identical.
 
@@ -38,25 +38,49 @@ type t = {
 }
 
 type builder = {
-  dim : int;
+  mutable dim : int;
   mutable rows : int array;   (* triplets, insertion order *)
   mutable cols : int array;
   mutable vals : float array;
   mutable count : int;
 }
 
+(* The captured stream itself is not kept: a CSR slot holds exactly one
+   (row, col) pair, so [s_perm] with the frozen index arrays already pins
+   every triplet (see [refreeze]).  A structure lives as long as the cache
+   that holds it — a whole placement for the global QP — and a copy of
+   the stream would add two triplet-sized arrays per axis to the live
+   heap for all that time. *)
 type structure = {
   s_dim : int;
-  s_rows : int array;      (* expected raw triplet stream *)
-  s_cols : int array;
   s_perm : int array;      (* triplet slot -> CSR slot *)
   s_row_start : int array; (* shared with every refrozen matrix *)
   s_col : int array;
 }
 
-let builder n =
-  { dim = n; rows = Array.make 64 0; cols = Array.make 64 0;
-    vals = Array.make 64 0.0; count = 0 }
+(* Temporaries of [freeze]: row counts and cursors (n+1), the per-row
+   dedup stamps and slots (n), and the row-grouped triplet copy (m), which
+   the dedup compacts in place.  A caller that freezes many small systems
+   in a row keeps one scratch, whose arrays grow to the largest system
+   seen; without one, each freeze allocates them at exactly the size it
+   needs. *)
+type scratch = {
+  mutable row_count : int array;
+  mutable row_cursor : int array;
+  mutable stamp : int array;
+  mutable slot_of : int array;
+  mutable gcol : int array;
+  mutable gval : float array;
+}
+
+let create_scratch () =
+  { row_count = [||]; row_cursor = [||]; stamp = [||]; slot_of = [||];
+    gcol = [||]; gval = [||] }
+
+let builder ?(capacity = 64) n =
+  let cap = max 1 capacity in
+  { dim = n; rows = Array.make cap 0; cols = Array.make cap 0;
+    vals = Array.make cap 0.0; count = 0 }
 
 let grow b =
   let cap = Array.length b.rows in
@@ -70,24 +94,31 @@ let grow b =
   b.cols <- cols';
   b.vals <- vals'
 
+(* Append one triplet.  Inlined, so a float argument computed at the call
+   site (the spring's [-.w]) goes straight into [vals] unboxed. *)
+let[@inline] push b row col v =
+  if b.count = Array.length b.rows then grow b;
+  Array.unsafe_set b.rows b.count row;
+  Array.unsafe_set b.cols b.count col;
+  Array.unsafe_set b.vals b.count v;
+  b.count <- b.count + 1
+
 let add b ~row ~col v =
   if row < 0 || row >= b.dim || col < 0 || col >= b.dim then
     invalid_arg "Csr.add: index out of range";
-  if not (Float.equal v 0.0) then begin
-    if b.count = Array.length b.rows then grow b;
-    Array.unsafe_set b.rows b.count row;
-    Array.unsafe_set b.cols b.count col;
-    Array.unsafe_set b.vals b.count v;
-    b.count <- b.count + 1
-  end
+  if not (Float.equal v 0.0) then push b row col v
 
 (* Symmetric convenience: adds the four entries of a spring between i and j
-   with stiffness w (Laplacian stencil). *)
+   with stiffness w (Laplacian stencil), the same triplets as four [add]s. *)
 let add_spring b i j w =
-  add b ~row:i ~col:i w;
-  add b ~row:j ~col:j w;
-  add b ~row:i ~col:j (-.w);
-  add b ~row:j ~col:i (-.w)
+  if i < 0 || i >= b.dim || j < 0 || j >= b.dim then
+    invalid_arg "Csr.add: index out of range";
+  if not (Float.equal w 0.0) then begin
+    push b i i w;
+    push b j j w;
+    push b i j (-.w);
+    push b j i (-.w)
+  end
 
 (* Diagonal-only convenience (anchors / fixed-pin stiffness). *)
 let add_diag b i w = add b ~row:i ~col:i w
@@ -95,7 +126,9 @@ let add_diag b i w = add b ~row:i ~col:i w
 let builder_dim b = b.dim
 let builder_count b = b.count
 
-let reset b = b.count <- 0
+let reset ?dim b =
+  (match dim with Some n -> b.dim <- n | None -> ());
+  b.count <- 0
 
 (* Structural well-formedness: monotone row pointers, strictly increasing
    in-range columns per row, finite values.  Returns the first violation. *)
@@ -183,16 +216,33 @@ let rec sort_segment cols vals lo hi =
       vals.(!j + 1) <- v
     done
 
-(* Shared freeze core: returns the CSR plus (when [capture]) the raw
-   triplet copy needed for symbolic reuse. *)
-let freeze_core b =
+(* [ensure_* a n]: [a] when it holds at least [n] slots, else a new
+   array of exactly [n] (contents not preserved).  Exact rather than
+   doubling: a reused scratch then holds no more than its largest system
+   needs. *)
+let ensure_int a n = if Array.length a >= n then a else Array.make n 0
+let ensure_float a n = if Array.length a >= n then a else Array.make n 0.0
+
+(* Shared freeze core.  Every scratch slot it reads is written first in
+   this call ([row_count] and [stamp] are cleared over the live range), so
+   a reused scratch gives the same matrix as a fresh one. *)
+let freeze_core sc b =
   let n = b.dim in
   let m = b.count in
+  sc.row_count <- ensure_int sc.row_count (n + 1);
+  sc.row_cursor <- ensure_int sc.row_cursor (n + 1);
+  sc.stamp <- ensure_int sc.stamp n;
+  sc.slot_of <- ensure_int sc.slot_of n;
+  sc.gcol <- ensure_int sc.gcol m;
+  sc.gval <- ensure_float sc.gval m;
+  let count = sc.row_count and cursor = sc.row_cursor in
+  let gcol = sc.gcol and gval = sc.gval in
+  let stamp = sc.stamp and slot_of = sc.slot_of in
   (* counting sort by row; the scatter is stable, so within a row the
      insertion order is preserved (duplicate accumulation order below is
      therefore the insertion order — the determinism contract [refreeze]
      relies on) *)
-  let count = Array.make (n + 1) 0 in
+  Array.fill count 0 (n + 1) 0;
   for k = 0 to m - 1 do
     let r = Array.unsafe_get b.rows k in
     count.(r + 1) <- count.(r + 1) + 1
@@ -200,8 +250,7 @@ let freeze_core b =
   for i = 1 to n do
     count.(i) <- count.(i) + count.(i - 1)
   done;
-  let gcol = Array.make m 0 and gval = Array.make m 0.0 in
-  let cursor = Array.copy count in
+  Array.blit count 0 cursor 0 (n + 1);
   for k = 0 to m - 1 do
     let r = Array.unsafe_get b.rows k in
     let at = cursor.(r) in
@@ -210,10 +259,13 @@ let freeze_core b =
     cursor.(r) <- at + 1
   done;
   (* per-row dedup via stamp arrays over column ids: stamp.(c) = r marks
-     column c as seen in row r, slot_of.(c) its accumulation slot *)
+     column c as seen in row r, slot_of.(c) its accumulation slot.  The
+     unique entries are compacted into the front of gcol/gval: the write
+     position nnz never passes the read position idx, and every slot an
+     accumulation touches is below nnz, so no unread entry is
+     overwritten. *)
+  Array.fill stamp 0 n (-1);
   let row_start = Array.make (n + 1) 0 in
-  let col_acc = Array.make m 0 and val_acc = Array.make m 0.0 in
-  let stamp = Array.make n (-1) and slot_of = Array.make n 0 in
   let nnz = ref 0 in
   for r = 0 to n - 1 do
     row_start.(r) <- !nnz;
@@ -221,14 +273,14 @@ let freeze_core b =
       let c = Array.unsafe_get gcol idx in
       if Array.unsafe_get stamp c = r then begin
         let slot = Array.unsafe_get slot_of c in
-        Array.unsafe_set val_acc slot
-          (Array.unsafe_get val_acc slot +. Array.unsafe_get gval idx)
+        Array.unsafe_set gval slot
+          (Array.unsafe_get gval slot +. Array.unsafe_get gval idx)
       end
       else begin
         Array.unsafe_set stamp c r;
         Array.unsafe_set slot_of c !nnz;
-        Array.unsafe_set col_acc !nnz c;
-        Array.unsafe_set val_acc !nnz (Array.unsafe_get gval idx);
+        Array.unsafe_set gcol !nnz c;
+        Array.unsafe_set gval !nnz (Array.unsafe_get gval idx);
         incr nnz
       end
     done
@@ -239,21 +291,25 @@ let freeze_core b =
      checkable invariant (see [validate]) *)
   for r = 0 to n - 1 do
     let lo = row_start.(r) and hi = row_start.(r + 1) in
-    if hi - lo > 1 then sort_segment col_acc val_acc lo (hi - 1)
+    if hi - lo > 1 then sort_segment gcol gval lo (hi - 1)
   done;
   {
     n;
     row_start;
-    col = Array.sub col_acc 0 !nnz;
-    value = Array.sub val_acc 0 !nnz;
+    col = Array.sub gcol 0 !nnz;
+    value = Array.sub gval 0 !nnz;
   }
 
 let check_frozen ~site t =
   Fbp_resilience.Sanitize.check ~site ~invariant:"CSR well-formedness"
     (fun () -> validate t)
 
-let freeze b =
-  let t = freeze_core b in
+let scratch_or_fresh = function
+  | Some sc -> sc
+  | None -> create_scratch ()
+
+let freeze ?scratch b =
+  let t = freeze_core (scratch_or_fresh scratch) b in
   check_frozen ~site:"csr.freeze" t;
   t
 
@@ -270,8 +326,8 @@ let find_slot col lo hi c =
   done;
   !found
 
-let freeze_capture b =
-  let t = freeze_core b in
+let freeze_capture ?scratch b =
+  let t = freeze_core (scratch_or_fresh scratch) b in
   check_frozen ~site:"csr.freeze" t;
   let m = b.count in
   let perm = Array.make m 0 in
@@ -286,47 +342,42 @@ let freeze_capture b =
     perm.(k) <- slot
   done;
   let s =
-    {
-      s_dim = b.dim;
-      s_rows = Array.sub b.rows 0 m;
-      s_cols = Array.sub b.cols 0 m;
-      s_perm = perm;
-      s_row_start = t.row_start;
-      s_col = t.col;
-    }
+    { s_dim = b.dim; s_perm = perm; s_row_start = t.row_start; s_col = t.col }
   in
   (t, s)
 
-let structure_matches s b =
-  b.dim = s.s_dim && b.count = Array.length s.s_rows
-  && begin
-    let ok = ref true in
-    let m = b.count in
-    let k = ref 0 in
+let structure_count s = Array.length s.s_perm
+
+(* Verify and scatter in one pass.  Triplet k of the captured stream went
+   to slot perm.(k); the incoming triplet (r, c) is the same pair iff that
+   slot lies in row r's range and stores column c.  The first mismatch
+   abandons the sweep (the caller falls back to a full freeze). *)
+let refreeze s b =
+  let m = b.count in
+  if b.dim <> s.s_dim || m <> Array.length s.s_perm then None
+  else begin
+    let perm = s.s_perm and row_start = s.s_row_start and col = s.s_col in
+    let rows = b.rows and cols = b.cols and vals = b.vals in
+    let value = Array.make (Array.length col) 0.0 in
+    let ok = ref true and k = ref 0 in
     while !ok && !k < m do
+      let slot = Array.unsafe_get perm !k and r = Array.unsafe_get rows !k in
       if
-        Array.unsafe_get b.rows !k <> Array.unsafe_get s.s_rows !k
-        || Array.unsafe_get b.cols !k <> Array.unsafe_get s.s_cols !k
-      then ok := false;
+        slot >= Array.unsafe_get row_start r
+        && slot < Array.unsafe_get row_start (r + 1)
+        && Array.unsafe_get col slot = Array.unsafe_get cols !k
+      then
+        Array.unsafe_set value slot
+          (Array.unsafe_get value slot +. Array.unsafe_get vals !k)
+      else ok := false;
       incr k
     done;
-    !ok
-  end
-
-let refreeze s b =
-  if not (structure_matches s b) then None
-  else begin
-    let nnz = Array.length s.s_col in
-    let value = Array.make nnz 0.0 in
-    let perm = s.s_perm in
-    for k = 0 to b.count - 1 do
-      let slot = Array.unsafe_get perm k in
-      Array.unsafe_set value slot
-        (Array.unsafe_get value slot +. Array.unsafe_get b.vals k)
-    done;
-    let t = { n = s.s_dim; row_start = s.s_row_start; col = s.s_col; value } in
-    check_frozen ~site:"csr.refreeze" t;
-    Some t
+    if not !ok then None
+    else begin
+      let t = { n = s.s_dim; row_start; col; value } in
+      check_frozen ~site:"csr.refreeze" t;
+      Some t
+    end
   end
 
 let dim t = t.n

@@ -12,13 +12,15 @@ type t
 
 type builder
 
-(** Symbolic sparsity structure captured by {!freeze_capture}: the raw
-    triplet (row, col) stream plus the mapping from triplet slot to CSR
-    slot.  Valid for any later builder producing the same stream. *)
+(** Symbolic sparsity structure captured by {!freeze_capture}: the mapping
+    from triplet slot to CSR slot plus the frozen index arrays, which
+    together pin the (row, col) stream without storing it.  Valid for any
+    later builder producing the same stream. *)
 type structure
 
-(** [builder n] starts an empty n×n assembly. *)
-val builder : int -> builder
+(** [builder ?capacity n] starts an empty n×n assembly with room for
+    [capacity] triplets (default 64) before it regrows. *)
+val builder : ?capacity:int -> int -> builder
 
 (** Add a triplet; zero values are dropped. Raises on out-of-range. *)
 val add : builder -> row:int -> col:int -> float -> unit
@@ -34,16 +36,30 @@ val builder_dim : builder -> int
 (** Number of triplets currently stored. *)
 val builder_count : builder -> int
 
-(** Drop all triplets, keeping the capacity (for builder reuse). *)
-val reset : builder -> unit
+(** Drop all triplets, keeping the capacity (for builder reuse); [dim]
+    also changes the dimension. *)
+val reset : ?dim:int -> builder -> unit
+
+(** Temporaries of {!freeze}, reusable across calls.  They only grow;
+    a freeze without one allocates them at exactly the size it needs.
+    Not safe for concurrent use. *)
+type scratch
+
+val create_scratch : unit -> scratch
 
 (** Assemble into CSR: rows sorted by column, duplicates accumulated.
-    In sanitizer mode the result is validated (site ["csr.freeze"]). *)
-val freeze : builder -> t
+    In sanitizer mode the result is validated (site ["csr.freeze"]).
+    The result never shares memory with [b] or [scratch], and is the same
+    with or without a (reused) [scratch]. *)
+val freeze : ?scratch:scratch -> builder -> t
 
 (** Like {!freeze}, but also captures the symbolic structure for
     {!refreeze}. *)
-val freeze_capture : builder -> t * structure
+val freeze_capture : ?scratch:scratch -> builder -> t * structure
+
+(** Number of triplets in the stream a structure was captured from: the
+    exact builder capacity for a matching re-assembly. *)
+val structure_count : structure -> int
 
 (** [refreeze s b] re-assembles [b] against the captured structure [s] as a
     flat value scatter (no sorting, no dedup bookkeeping), sharing the

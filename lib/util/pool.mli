@@ -91,13 +91,16 @@ val lease : unit -> lease
 (** Number of helper workers held by the lease (0 on an exhausted pool). *)
 val lease_helpers : lease -> int
 
-(** [lease_run l ~n_chunks body] executes [body c] for every chunk [c] in
-    [0, n_chunks) across the lease's helpers plus the calling domain.
+(** [lease_run l ~n_chunks body] executes [body ~slot c] for every chunk
+    [c] in [0, n_chunks) across the lease's helpers plus the calling
+    domain.  [slot] in [0, lease_helpers l] names the executing domain
+    within the lease (0 is the caller): chunks that run at the same time
+    never share a slot, so [slot] can index per-domain buffers.
     Same contract as {!run_chunks}: [body] writes only chunk-private
     state; every chunk runs even under exceptions and the first failure
     in chunk order is re-raised, leaving the lease reusable.  Raises
     [Invalid_argument] after {!release_lease}. *)
-val lease_run : lease -> n_chunks:int -> (int -> unit) -> unit
+val lease_run : lease -> n_chunks:int -> (slot:int -> int -> unit) -> unit
 
 (** Stops the helpers and returns them to the pool's free list.
     Idempotent. *)

@@ -59,17 +59,29 @@ let rec sift_down t i =
     sift_down t m
   end
 
+let drop_min t =
+  if t.size = 0 then invalid_arg "Pq.drop_min: empty heap";
+  t.size <- t.size - 1;
+  if t.size > 0 then begin
+    t.keys.(0) <- t.keys.(t.size);
+    t.data.(0) <- t.data.(t.size);
+    sift_down t 0
+  end
+
 let pop t =
   if t.size = 0 then None
   else begin
     let key = t.keys.(0) and v = t.data.(0) in
-    t.size <- t.size - 1;
-    if t.size > 0 then begin
-      t.keys.(0) <- t.keys.(t.size);
-      t.data.(0) <- t.data.(t.size);
-      sift_down t 0
-    end;
+    drop_min t;
     Some (key, v)
   end
 
-let peek t = if t.size = 0 then None else Some (t.keys.(0), t.data.(0))
+(* The minimum entry without the option and pair [pop] allocates, for
+   lazy-deletion loops that test [is_empty] first. *)
+let min_key t =
+  if t.size = 0 then invalid_arg "Pq.min_key: empty heap";
+  t.keys.(0)
+
+let min_value t =
+  if t.size = 0 then invalid_arg "Pq.min_value: empty heap";
+  t.data.(0)

@@ -18,5 +18,11 @@ val push : 'a t -> float -> 'a -> unit
 (** Remove and return the minimum-key entry. *)
 val pop : 'a t -> (float * 'a) option
 
-(** Return (without removing) the minimum-key entry. *)
-val peek : 'a t -> (float * 'a) option
+
+(** Key and payload of the minimum entry (left in place), and its
+    removal: {!pop} without allocating the option and pair, for
+    lazy-deletion loops that test {!is_empty} first.  Raise
+    [Invalid_argument] on an empty heap. *)
+val min_key : 'a t -> float
+val min_value : 'a t -> 'a
+val drop_min : 'a t -> unit

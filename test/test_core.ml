@@ -249,6 +249,155 @@ let test_fbp_externals_acyclic () =
   in
   Hashtbl.iter (fun (m, w) _ -> visit m w) edges
 
+(* ---------- Netmodel assembly workspace ---------- *)
+
+(* Everything an assembled system holds, floats as bit patterns: two
+   systems are equal here iff they are bit-identical. *)
+let system_bits (sys : Netmodel.system) =
+  let entries a =
+    let acc = ref [] in
+    Fbp_linalg.Csr.iter_entries a (fun r c v ->
+        acc := (r, c, Int64.bits_of_float v) :: !acc);
+    List.rev !acc
+  in
+  let vec v = Array.to_list (Array.map Int64.bits_of_float v) in
+  ( (sys.Netmodel.n_vars, Array.to_list sys.Netmodel.cells),
+    (entries sys.Netmodel.ax, vec sys.Netmodel.bx),
+    (entries sys.Netmodel.ay, vec sys.Netmodel.by) )
+
+let check_same_system msg a b =
+  Alcotest.(check bool) msg true (system_bits a = system_bits b)
+
+(* The nets of a node, as the local QP collects them: sorted, deduplicated. *)
+let node_nets cell_nets cells =
+  Array.to_list cells
+  |> List.concat_map (fun c -> cell_nets.(c))
+  |> List.sort_uniq Int.compare |> Array.of_list
+
+let range lo n = Array.init n (fun i -> lo + i)
+
+(* A window-centre pull like realization's, allocated once. *)
+let pull = Some (1e-4, 50.0, 1e-4, 40.0)
+
+let test_netmodel_workspace_reuse () =
+  let d = Generator.quick ~seed:11 2000 in
+  let nl = d.Design.netlist and pos = d.Design.initial in
+  let cell_nets = Netlist.cell_nets nl in
+  let assemble ?workspace cells =
+    Netmodel.assemble nl pos ?workspace ~movable:cells
+      ~nets:(node_nets cell_nets cells) ~clique_max_degree:3
+      ~anchor:(fun _ -> pull) ()
+  in
+  let small = range 0 16 in
+  (* [small] plus every cell sharing a net with it: grows, shares nets *)
+  let grown =
+    node_nets cell_nets small |> Array.to_list
+    |> List.concat_map (fun ni ->
+           Array.to_list nl.Netlist.nets.(ni).Netlist.pins
+           |> List.filter_map (fun (p : Netlist.pin) ->
+                  if p.Netlist.cell >= 0 then Some p.Netlist.cell else None))
+    |> List.append (Array.to_list small)
+    |> List.sort_uniq Int.compare |> Array.of_list
+  in
+  Alcotest.(check bool) "neighbourhood grows the node" true
+    (Array.length grown > Array.length small);
+  let ws = Netmodel.create_workspace () in
+  List.iteri
+    (fun i cells ->
+      check_same_system
+        (Printf.sprintf "node %d (%d cells): reused = fresh" i (Array.length cells))
+        (assemble cells) (assemble ~workspace:ws cells))
+    [ small; grown; range 8 4; range 500 300; range 9 3; small ];
+  (* the global QP's cache: a hit (builders pre-sized from the captured
+     structure) is bit-identical to a fresh freeze and still counts as a
+     hit on both axes *)
+  let movable = Qp.all_movable nl in
+  let global ?cache () =
+    Netmodel.assemble nl pos ?cache ~movable ~clique_max_degree:3
+      ~anchor:(fun _ -> pull) ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Fbp_obs.Obs.disable ();
+      Fbp_obs.Obs.reset ())
+    (fun () ->
+      Fbp_obs.Obs.reset ();
+      Fbp_obs.Obs.enable ();
+      let cache = Netmodel.create_cache () in
+      let first = global ~cache () in
+      let hit = global ~cache () in
+      Alcotest.(check int) "one capture per axis" 2
+        (Fbp_obs.Obs.counter_value "netmodel.refreeze_misses");
+      Alcotest.(check int) "then one hit per axis" 2
+        (Fbp_obs.Obs.counter_value "netmodel.refreeze_hits");
+      let fresh = global () in
+      check_same_system "captured = fresh" fresh first;
+      check_same_system "cache hit = fresh" fresh hit)
+
+let test_netmodel_workspace_allocation () =
+  let d = Generator.quick ~seed:12 10_000 in
+  let nl = d.Design.netlist and pos = d.Design.initial in
+  let n = Netlist.n_cells nl in
+  let cell_nets = Netlist.cell_nets nl in
+  let cells = range 5000 16 in
+  let nets = node_nets cell_nets cells in
+  let ws = Netmodel.create_workspace () in
+  let anchor _ = pull in
+  let assemble () =
+    ignore
+      (Netmodel.assemble nl pos ~workspace:ws ~movable:cells ~nets
+         ~clique_max_degree:3 ~anchor ())
+  in
+  assemble ();  (* warm-up: the workspace grows to this design *)
+  let words () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let before = words () in
+  assemble ();
+  let allocated = words () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "16-cell node allocates %.0f words, fewer than the %d cells"
+       allocated n)
+    true
+    (allocated < float_of_int n)
+
+let test_netmodel_workspace_exception_safe () =
+  let d = Generator.quick ~seed:13 2000 in
+  let nl = d.Design.netlist and pos = d.Design.initial in
+  let cell_nets = Netlist.cell_nets nl in
+  let assemble ?workspace ~anchor cells =
+    Netmodel.assemble nl pos ?workspace ~movable:cells
+      ~nets:(node_nets cell_nets cells) ~clique_max_degree:3 ~anchor ()
+  in
+  let ws = Netmodel.create_workspace () in
+  let aborted = range 100 40 in
+  let calls = ref 0 in
+  let failing _ =
+    incr calls;
+    if !calls = 20 then failwith "anchor failed" else pull
+  in
+  (match assemble ~workspace:ws ~anchor:failing aborted with
+   | _ -> Alcotest.fail "expected the anchor's exception"
+   | exception Failure _ -> ());
+  (* next node: the aborted node's neighbours, so any cell the failed
+     call left mapped would turn a fixed pin into a variable *)
+  let next =
+    node_nets cell_nets aborted |> Array.to_list
+    |> List.concat_map (fun ni ->
+           Array.to_list nl.Netlist.nets.(ni).Netlist.pins
+           |> List.filter_map (fun (p : Netlist.pin) ->
+                  let c = p.Netlist.cell in
+                  if c >= 0 && (c < 100 || c >= 140) then Some c else None))
+    |> List.sort_uniq Int.compare |> Array.of_list
+  in
+  Alcotest.(check bool) "neighbours exist" true (Array.length next > 0);
+  let anchor _ = pull in
+  check_same_system "after the exception: reused = fresh"
+    (assemble ~anchor next) (assemble ~workspace:ws ~anchor next);
+  check_same_system "the aborted node itself: reused = fresh"
+    (assemble ~anchor aborted) (assemble ~workspace:ws ~anchor aborted)
+
 (* ---------- Realization + placer ---------- *)
 
 let test_realization_assigns_everything () =
@@ -505,6 +654,11 @@ let suite =
     Alcotest.test_case "qp spring chain" `Quick test_qp_spring_chain;
     Alcotest.test_case "qp anchor" `Quick test_qp_anchor_pulls;
     Alcotest.test_case "qp star model" `Quick test_qp_star_matches_small_clique_roughly;
+    Alcotest.test_case "netmodel workspace reuse" `Quick test_netmodel_workspace_reuse;
+    Alcotest.test_case "netmodel workspace allocation" `Quick
+      test_netmodel_workspace_allocation;
+    Alcotest.test_case "netmodel workspace exception safe" `Quick
+      test_netmodel_workspace_exception_safe;
     Alcotest.test_case "fbp model size linear in windows" `Quick test_fbp_model_size_linear;
     Alcotest.test_case "fbp model feasible + conserving" `Quick test_fbp_model_feasible_and_conserving;
     Alcotest.test_case "fbp model detects infeasible" `Quick test_fbp_model_infeasible_detected;

@@ -137,6 +137,27 @@ let test_refreeze_rejects_changed_topology () =
   (match Csr.refreeze structure b3 with
   | Some _ -> Alcotest.fail "refreeze accepted a different stream"
   | None -> ());
+  (* one triplet moved within its row, or to another row in the same
+     column: each is caught by one half of the slot check alone *)
+  let retarget ~row ~col =
+    let b = Csr.builder 4 in
+    Csr.add_diag b 0 1.0;
+    Csr.add_spring b 0 1 2.0;
+    Csr.add b ~row:1 ~col:1 3.0;
+    Csr.add b ~row:2 ~col:2 3.0;
+    Csr.add b ~row ~col (-3.0);
+    Csr.add b ~row:2 ~col:1 (-3.0);
+    b
+  in
+  (match Csr.refreeze structure (retarget ~row:1 ~col:2) with
+  | Some _ -> ()
+  | None -> Alcotest.fail "refreeze rejected the captured stream, triplet by triplet");
+  (match Csr.refreeze structure (retarget ~row:1 ~col:0) with
+  | Some _ -> Alcotest.fail "refreeze accepted a triplet moved within its row"
+  | None -> ());
+  (match Csr.refreeze structure (retarget ~row:0 ~col:2) with
+  | Some _ -> Alcotest.fail "refreeze accepted a triplet moved to another row"
+  | None -> ());
   (* unchanged stream still accepted *)
   match Csr.refreeze structure (base ()) with
   | Some _ -> ()
@@ -193,7 +214,7 @@ let test_lease_reuse_and_errors () =
              batch costs one submission, not one dispatch per worker *)
           for round = 1 to 5 do
             let d0 = Pool.n_dispatches () in
-            Pool.lease_run l ~n_chunks:8 (fun c ->
+            Pool.lease_run l ~n_chunks:8 (fun ~slot:_ c ->
                 let lo, hi = Pool.chunk_bounds ~n ~n_chunks:8 c in
                 for i = lo to hi - 1 do
                   slots.(i) <- slots.(i) + round
@@ -205,21 +226,37 @@ let test_lease_reuse_and_errors () =
           done;
           Alcotest.(check bool) "all slots saw all five rounds" true
             (Array.for_all (fun v -> v = 15) slots);
+          (* a chunk's [slot] names its domain within the lease: in range
+             and never held by two running chunks at once *)
+          let busy =
+            Array.init (Pool.lease_helpers l + 1) (fun _ -> Atomic.make false)
+          in
+          let bad = Atomic.make 0 in
+          Pool.lease_run l ~n_chunks:64 (fun ~slot _ ->
+              if slot < 0 || slot >= Array.length busy then Atomic.incr bad
+              else if not (Atomic.compare_and_set busy.(slot) false true) then
+                Atomic.incr bad
+              else begin
+                for _ = 1 to 1000 do Domain.cpu_relax () done;
+                Atomic.set busy.(slot) false
+              end);
+          Alcotest.(check int) "lease slots in range and exclusive" 0
+            (Atomic.get bad);
           (* first failure in chunk order wins under dynamic scheduling *)
           (match
-             Pool.lease_run l ~n_chunks:8 (fun c ->
+             Pool.lease_run l ~n_chunks:8 (fun ~slot:_ c ->
                  if c = 3 || c = 6 then raise (Boom c))
            with
           | () -> Alcotest.fail "expected Boom"
           | exception Boom c -> Alcotest.(check int) "first chunk error" 3 c);
           (* the lease stays usable after a failed batch *)
           let hits = Atomic.make 0 in
-          Pool.lease_run l ~n_chunks:4 (fun _ -> Atomic.incr hits);
+          Pool.lease_run l ~n_chunks:4 (fun ~slot:_ _ -> Atomic.incr hits);
           Alcotest.(check int) "lease reusable after exception" 4
             (Atomic.get hits));
       (* released: further batches are refused, double release is a no-op,
          and the helpers are back on the pool's free list *)
-      (match Pool.lease_run l ~n_chunks:2 (fun _ -> ()) with
+      (match Pool.lease_run l ~n_chunks:2 (fun ~slot:_ _ -> ()) with
       | () -> Alcotest.fail "expected Invalid_argument after release"
       | exception Invalid_argument _ -> ());
       Pool.release_lease l;

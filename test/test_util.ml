@@ -64,7 +64,18 @@ let test_pq_ordering () =
       drain ()
   in
   drain ();
-  Alcotest.(check (list (float 0.0))) "sorted" [ 4.0; 3.0; 2.0; 1.0; 0.5 ] !keys
+  Alcotest.(check (list (float 0.0))) "sorted" [ 4.0; 3.0; 2.0; 1.0; 0.5 ] !keys;
+  (* the allocation-free accessors walk the same order *)
+  List.iter (fun k -> Pq.push pq k (int_of_float (k *. 10.))) [ 3.0; 1.0; 2.0 ];
+  let walked = ref [] in
+  while not (Pq.is_empty pq) do
+    walked := (Pq.min_key pq, Pq.min_value pq) :: !walked;
+    Pq.drop_min pq
+  done;
+  Alcotest.(check (list (pair (float 0.0) int))) "min_key/min_value/drop_min"
+    [ (3.0, 30); (2.0, 20); (1.0, 10) ] !walked;
+  Alcotest.check_raises "min_key on empty" (Invalid_argument "Pq.min_key: empty heap")
+    (fun () -> ignore (Pq.min_key pq))
 
 let test_pq_clear () =
   let pq = Pq.create () in
