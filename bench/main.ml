@@ -384,17 +384,18 @@ let emit_sanitizer_json () =
 
    - "spmv" / "cg": the new pool-backed kernels against [Seed_kernels]
      (the pre-PR5 implementations preserved verbatim as a baseline), on
-     the x-axis QP system of a real design, with pinned iteration counts
-     for CG so both sides do exactly the same mathematical work;
+     the QP matrix of a real design (one matrix, the x and y right-hand
+     sides), with pinned iteration counts for CG so both sides do exactly
+     the same mathematical work;
    - "assemble": the triplet-stream -> CSR path three ways (seed list
      builder + Hashtbl freeze; new unboxed builder + stamp freeze; new
-     builder + symbolic [refreeze]), both axis systems per round exactly
-     like [Qp.solve_global], plus the end-to-end [Netmodel.assemble]
+     builder + symbolic [refreeze]), the one matrix per round exactly like
+     [Qp.solve_global], plus the end-to-end [Netmodel.assemble]
      fresh-vs-cached times on the real net model;
    - "scaling": full placer runs at 1/2/4/8 domains with per-phase times
      and bitwise HPWL equality against the 1-domain run ("hpwl_match" —
      check.sh fails the build if any entry is false);
-   - "qp_phase": the composite global-QP round (two assemblies + x/y CG)
+   - "qp_phase": the composite global-QP round (one assembly + x/y CG)
      seed vs new-at-8-domains, the PR's headline speedup.
 
    FBP_BENCH_JSON5 overrides the output path; FBP_BENCH_SMOKE shrinks
@@ -432,9 +433,9 @@ let emit_parallel_json () =
   in
   let sys = assemble () in
   let nv = sys.Fbp_core.Netmodel.n_vars in
-  let ax = sys.Fbp_core.Netmodel.ax and ay = sys.Fbp_core.Netmodel.ay in
+  let a = sys.Fbp_core.Netmodel.a in
   let bxr = sys.Fbp_core.Netmodel.bx and byr = sys.Fbp_core.Netmodel.by in
-  (* replay streams: the frozen entries of each axis system, fed through
+  (* replay stream: the frozen entries of the system matrix, fed through
      every assembly variant so all sides consume the identical triplets *)
   let stream_of m =
     let n = Fbp_linalg.Csr.nnz m in
@@ -448,7 +449,7 @@ let emit_parallel_json () =
         incr i);
     (rows, cols, vals)
   in
-  let stream_x = stream_of ax and stream_y = stream_of ay in
+  let stream = stream_of a in
   let replay_seed (rows, cols, vals) =
     let b = Seed_kernels.SCsr.builder nv in
     Array.iteri
@@ -456,23 +457,23 @@ let emit_parallel_json () =
       rows;
     Seed_kernels.SCsr.freeze b
   in
-  let bldx = Fbp_linalg.Csr.builder nv and bldy = Fbp_linalg.Csr.builder nv in
+  let bld = Fbp_linalg.Csr.builder nv in
   let replay_new b (rows, cols, vals) =
     Fbp_linalg.Csr.reset b;
     Array.iteri (fun k r -> Fbp_linalg.Csr.add b ~row:r ~col:cols.(k) vals.(k)) rows;
     b
   in
-  let sa_x = replay_seed stream_x and sa_y = replay_seed stream_y in
+  let sa = replay_seed stream in
   (* ---- spmv ---- *)
   let xvec = Array.init nv (fun i -> float_of_int (i mod 17) /. 17.0) in
   let out = Array.make nv 0.0 in
   let spmv_reps = if smoke then 100 else 400 in
-  let spmv_seed_s = time spmv_reps (fun () -> Seed_kernels.SCsr.mul sa_x xvec out) in
-  let spmv_new_s = time spmv_reps (fun () -> Fbp_linalg.Csr.mul ax xvec out) in
+  let spmv_seed_s = time spmv_reps (fun () -> Seed_kernels.SCsr.mul sa xvec out) in
+  let spmv_new_s = time spmv_reps (fun () -> Fbp_linalg.Csr.mul a xvec out) in
   (* ---- cg (pinned iteration count = what the placer tolerance needs) ---- *)
   let probe =
     Fbp_linalg.Cg.solve ~record:false ~max_iter:cfg.Fbp_core.Config.cg_max_iter
-      ~tol:cfg.Fbp_core.Config.cg_tol ax bxr (Array.make nv 0.0)
+      ~tol:cfg.Fbp_core.Config.cg_tol a bxr (Array.make nv 0.0)
   in
   let k_iters = max 20 probe.Fbp_linalg.Cg.iterations in
   let cg_reps = if smoke then 3 else 6 in
@@ -486,38 +487,29 @@ let emit_parallel_json () =
     ignore
       (Fbp_linalg.Cg.solve ~record:false ~max_iter:k_iters ~tol:0.0 a b xwork)
   in
-  let cg_seed_x_s = time cg_reps (fun () -> seed_cg sa_x bxr) in
-  let cg_seed_y_s = time cg_reps (fun () -> seed_cg sa_y byr) in
-  let cg_new_x_s = time cg_reps (fun () -> new_cg ax bxr) in
-  let cg_new_y_s = time cg_reps (fun () -> new_cg ay byr) in
+  let cg_seed_x_s = time cg_reps (fun () -> seed_cg sa bxr) in
+  let cg_seed_y_s = time cg_reps (fun () -> seed_cg sa byr) in
+  let cg_new_x_s = time cg_reps (fun () -> new_cg a bxr) in
+  let cg_new_y_s = time cg_reps (fun () -> new_cg a byr) in
   let seed_iters, _ =
-    Seed_kernels.scg_solve ~max_iter:k_iters ~tol:0.0 sa_x bxr
+    Seed_kernels.scg_solve ~max_iter:k_iters ~tol:0.0 sa bxr
       (Array.make nv 0.0)
   in
   let new_iters =
-    (Fbp_linalg.Cg.solve ~record:false ~max_iter:k_iters ~tol:0.0 ax bxr
+    (Fbp_linalg.Cg.solve ~record:false ~max_iter:k_iters ~tol:0.0 a bxr
        (Array.make nv 0.0))
       .Fbp_linalg.Cg.iterations
   in
-  (* ---- assembly: stream -> CSR, both axes per round ---- *)
+  (* ---- assembly: stream -> CSR, the one matrix per round ---- *)
   let rounds = if smoke then 15 else 40 in
-  let asm_seed_s =
-    time rounds (fun () ->
-        ignore (replay_seed stream_x);
-        ignore (replay_seed stream_y))
-  in
+  let asm_seed_s = time rounds (fun () -> ignore (replay_seed stream)) in
   let asm_fresh_s =
     time rounds (fun () ->
-        ignore (Fbp_linalg.Csr.freeze (replay_new bldx stream_x));
-        ignore (Fbp_linalg.Csr.freeze (replay_new bldy stream_y)))
+        ignore (Fbp_linalg.Csr.freeze (replay_new bld stream)))
   in
-  let _, str_x = Fbp_linalg.Csr.freeze_capture (replay_new bldx stream_x) in
-  let _, str_y = Fbp_linalg.Csr.freeze_capture (replay_new bldy stream_y) in
+  let _, str = Fbp_linalg.Csr.freeze_capture (replay_new bld stream) in
   let refreeze_round () =
-    (match Fbp_linalg.Csr.refreeze str_x (replay_new bldx stream_x) with
-    | Some _ -> ()
-    | None -> failwith "bench: refreeze missed on an identical stream");
-    match Fbp_linalg.Csr.refreeze str_y (replay_new bldy stream_y) with
+    match Fbp_linalg.Csr.refreeze str (replay_new bld stream) with
     | Some _ -> ()
     | None -> failwith "bench: refreeze missed on an identical stream"
   in
@@ -536,8 +528,8 @@ let emit_parallel_json () =
   let asm_cached8_s, cg_new8_x_s, cg_new8_y_s =
     Fbp_util.Pool.with_domains 8 (fun () ->
         ( time rounds refreeze_round,
-          time cg_reps (fun () -> new_cg ax bxr),
-          time cg_reps (fun () -> new_cg ay byr) ))
+          time cg_reps (fun () -> new_cg a bxr),
+          time cg_reps (fun () -> new_cg a byr) ))
   in
   let qp_seed_s = asm_seed_s +. cg_seed_x_s +. cg_seed_y_s in
   let qp_new8_s = asm_cached8_s +. cg_new8_x_s +. cg_new8_y_s in
@@ -605,7 +597,7 @@ let emit_parallel_json () =
      \"workers_spawned\":%d,\n\
      \"hpwl_match\":%b\n\
      }\n"
-    smoke kernel_design nv (Fbp_linalg.Csr.nnz ax) spmv_reps spmv_seed_s
+    smoke kernel_design nv (Fbp_linalg.Csr.nnz a) spmv_reps spmv_seed_s
     spmv_new_s
     (sp spmv_seed_s spmv_new_s)
     k_iters seed_iters new_iters cg_seed_x_s cg_new_x_s cg_seed_y_s cg_new_y_s

@@ -139,6 +139,13 @@ bash fbpbench/run.sh --workload blocks6k --seed 1 --seconds 1 --trace 1 \
   > "$tmp/fbpbench.txt" 2>&1 \
   || { echo "fbpbench blocks6k failed:"; tail -n 20 "$tmp/fbpbench.txt"; exit 1; }
 
+echo "== placement benchmark gate (fbpbench mb20k, traced, ~20 s)"
+# the one workload with movebounds: 9-class flow, movebound transport and
+# legalization, same checks and replays as above
+bash fbpbench/run.sh --workload mb20k --seed 1 --seconds 1 --trace 1 \
+  > "$tmp/fbpbench-mb.txt" 2>&1 \
+  || { echo "fbpbench mb20k failed:"; tail -n 20 "$tmp/fbpbench-mb.txt"; exit 1; }
+
 echo "== observability smoke (--trace / --metrics)"
 fbp="dune exec bin/fbp_place.exe --"
 $fbp generate --cells 1500 --seed 7 -o "$tmp/smoke.book" >/dev/null

@@ -19,17 +19,18 @@ type stats = {
    a small system finishes in less time than a cross-domain wakeup costs,
    so [fork2] only adds latency (BENCH_pr5: qp_s *rose* from 1 to 4
    domains on a ~500-cell design).  Results are bit-identical either way —
-   the x and y systems are independent. *)
+   the axis solves only read the shared matrix. *)
 let qp_seq_vars = 4096
 
 (* The two axis solves of an assembled system, warm-started from [pos]
-   (star vars start at 0, pulled in by their regularizer).  The axis
-   systems are independent, so with [fork] they run concurrently on the
-   pool when the system is large enough; each solve defers its metrics
-   ([record:false]) and the caller records them after the join in fixed
-   x-then-y order, keeping observation streams deterministic regardless
-   of interleaving. *)
-let solve_axes ~fork ~max_iter ~tol (sys : Netmodel.system) (pos : Placement.t) =
+   (star vars start at 0, pulled in by their regularizer).  Both read the
+   one matrix and write their own vector, so they run concurrently on the
+   pool when the system is large enough and a worker is free (inside a
+   realization lease none is, and they run in turn); each solve defers its
+   metrics ([record:false]) and the caller records them after the join in
+   fixed x-then-y order, keeping observation streams deterministic
+   regardless of interleaving. *)
+let solve_axes ~max_iter ~tol (sys : Netmodel.system) (pos : Placement.t) =
   let nv = sys.Netmodel.n_vars in
   let x = Array.make nv 0.0 and y = Array.make nv 0.0 in
   for v = 0 to nv - 1 do
@@ -39,22 +40,19 @@ let solve_axes ~fork ~max_iter ~tol (sys : Netmodel.system) (pos : Placement.t) 
       y.(v) <- pos.Placement.y.(c)
     end
   done;
-  let solve a b v () = Fbp_linalg.Cg.solve ~record:false ~max_iter ~tol a b v in
+  let a = sys.Netmodel.a in
+  let solve b v () = Fbp_linalg.Cg.solve ~record:false ~max_iter ~tol a b v in
   let sx, sy =
-    if (not fork) || nv < qp_seq_vars then
-      ( solve sys.Netmodel.ax sys.Netmodel.bx x (),
-        solve sys.Netmodel.ay sys.Netmodel.by y () )
-    else
-      Fbp_util.Pool.fork2
-        (solve sys.Netmodel.ax sys.Netmodel.bx x)
-        (solve sys.Netmodel.ay sys.Netmodel.by y)
+    if nv < qp_seq_vars then
+      (solve sys.Netmodel.bx x (), solve sys.Netmodel.by y ())
+    else Fbp_util.Pool.fork2 (solve sys.Netmodel.bx x) (solve sys.Netmodel.by y)
   in
   (x, y, sx, sy)
 
 let solve_system (cfg : Config.t) (sys : Netmodel.system) (pos : Placement.t) =
   Fbp_util.Pool.with_domains cfg.Config.domains @@ fun () ->
   let x, y, sx, sy =
-    solve_axes ~fork:true ~max_iter:cfg.Config.cg_max_iter
+    solve_axes ~max_iter:cfg.Config.cg_max_iter
       ~tol:cfg.Config.cg_tol sys pos
   in
   Fbp_linalg.Cg.record_stats sx;
@@ -157,10 +155,7 @@ let solve_local ws (cfg : Config.t) (nl : Netlist.t) (pos : Placement.t)
       Netmodel.assemble nl pos ~workspace:ws.asm ~movable:cells ~nets
         ~clique_max_degree:cfg.Config.clique_max_degree ~anchor ()
     in
-    (* no [fork2]: realization runs local QPs inside a lease that holds
-       every free worker, and a nested region that finds none spawns new
-       domains, which then join every minor-GC stop-the-world *)
-    let x, y, sx, sy = solve_axes ~fork:false ~max_iter ~tol sys pos in
+    let x, y, sx, sy = solve_axes ~max_iter ~tol sys pos in
     Array.blit x 0 qx 0 n;
     Array.blit y 0 qy 0 n;
     (sx, sy)

@@ -11,10 +11,10 @@ type stats = {
 
 (** Solve an assembled system, writing cell positions back into the
     placement (star variables are discarded).  All pool work runs at
-    [cfg.domains]: the x- and y-axis CG solves run concurrently when that
-    is at least 2 and the system is large enough; metrics are recorded
-    after the join in fixed x-then-y order, so observation streams stay
-    deterministic. *)
+    [cfg.domains]: the x- and y-axis CG solves, which share the system's
+    one matrix, run concurrently when that is at least 2, a worker is free
+    and the system is large enough; metrics are recorded after the join
+    in fixed x-then-y order, so observation streams stay deterministic. *)
 val solve_system : Config.t -> Netmodel.system -> Placement.t -> stats
 
 (** All movable cell ids of a netlist. *)

@@ -49,8 +49,8 @@ type builder = {
    (row, col) pair, so [s_perm] with the frozen index arrays already pins
    every triplet (see [refreeze]).  A structure lives as long as the cache
    that holds it — a whole placement for the global QP — and a copy of
-   the stream would add two triplet-sized arrays per axis to the live
-   heap for all that time. *)
+   the stream would add two triplet-sized arrays to the live heap for all
+   that time. *)
 type structure = {
   s_dim : int;
   s_perm : int array;      (* triplet slot -> CSR slot *)

@@ -7,7 +7,9 @@
    a free list — so a region costs two mutex handoffs per worker instead of
    a spawn/join pair, and nested regions (a realization worker running a
    local CG) simply find no free workers and run on their own domain: no
-   blocking acquire, hence no deadlock by construction.
+   blocking acquire, hence no deadlock by construction.  Workers are
+   spawned only up to the default domain count minus one, so nesting
+   never adds domains.
 
    Determinism contract (the property PR 4's lint and sanitizer enforce):
    results must be bit-identical for any domain count.  Two mechanisms:
@@ -163,13 +165,18 @@ let spawn_worker wid =
   ignore (Domain.spawn (fun () -> worker_loop w) : unit Domain.t);
   w
 
-(* Take up to [k] idle workers without blocking, spawning new domains while
-   below the cap.  Returns fewer (possibly none) when the pool is busy —
-   the caller then runs those shares itself. *)
-let acquire k =
+(* Take up to [k] idle workers without blocking, spawning new domains only
+   while fewer than [limit] exist (default: the domain count minus the
+   caller's).  Returns fewer (possibly none) when the pool is busy — the
+   caller then runs those shares itself.  So a region nested in a lease or
+   in another region, which finds every worker taken, runs on its caller
+   instead of adding a domain that would join every minor-GC
+   stop-the-world. *)
+let acquire ?(limit = Atomic.get default_domains - 1) k =
   if k <= 0 then []
   else begin
     Mutex.lock state.lock;
+    let limit = min limit max_workers in
     let rec go k acc =
       if k = 0 then acc
       else
@@ -179,7 +186,7 @@ let acquire k =
           let w = match state.workers.(id) with Some w -> w | None -> assert false in
           go (k - 1) (w :: acc)
         | [] ->
-          if state.n_spawned < max_workers then begin
+          if state.n_spawned < limit then begin
             let id = state.n_spawned in
             let w = spawn_worker id in
             state.workers.(id) <- Some w;
@@ -457,7 +464,9 @@ let release_lease (l : lease) =
    minor-GC stop-the-world rendezvous, so surplus domains tax *sequential*
    code on small machines (measured ~4x on one core with 7 parked
    workers). *)
-let prewarm n = release (acquire (cap n - 1))
+let prewarm n =
+  let k = cap n - 1 in
+  release (acquire ~limit:k k)
 
 let fork2 f g =
   if Atomic.get default_domains < 2 then

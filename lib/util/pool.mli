@@ -1,12 +1,12 @@
 (** Persistent worker-domain pool with deterministic chunking.
 
-    Worker domains are spawned once (lazily, up to an internal cap), parked
-    on condition variables, and handed to parallel regions from a free
-    list: a region costs two mutex handoffs per worker instead of a
-    [Domain.spawn]/[join] pair.  Acquisition never blocks — nested regions
-    (e.g. a local CG running on a realization worker) find no free workers
-    and execute on their own domain, so deadlock is impossible by
-    construction.
+    Worker domains are spawned once (lazily, and only while fewer than the
+    default domain count minus one exist), parked on condition variables,
+    and handed to parallel regions from a free list: a region costs two
+    mutex handoffs per worker instead of a [Domain.spawn]/[join] pair.
+    Acquisition never blocks — nested regions (e.g. a local CG running on
+    a realization worker) find no free workers and execute on their own
+    domain, so deadlock is impossible by construction.
 
     Determinism contract: results are bit-identical for any domain count.
     Chunk count and boundaries depend only on the problem size, and

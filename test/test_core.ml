@@ -262,8 +262,8 @@ let system_bits (sys : Netmodel.system) =
   in
   let vec v = Array.to_list (Array.map Int64.bits_of_float v) in
   ( (sys.Netmodel.n_vars, Array.to_list sys.Netmodel.cells),
-    (entries sys.Netmodel.ax, vec sys.Netmodel.bx),
-    (entries sys.Netmodel.ay, vec sys.Netmodel.by) )
+    entries sys.Netmodel.a,
+    (vec sys.Netmodel.bx, vec sys.Netmodel.by) )
 
 let check_same_system msg a b =
   Alcotest.(check bool) msg true (system_bits a = system_bits b)
@@ -308,9 +308,9 @@ let test_netmodel_workspace_reuse () =
         (Printf.sprintf "node %d (%d cells): reused = fresh" i (Array.length cells))
         (assemble cells) (assemble ~workspace:ws cells))
     [ small; grown; range 8 4; range 500 300; range 9 3; small ];
-  (* the global QP's cache: a hit (builders pre-sized from the captured
-     structure) is bit-identical to a fresh freeze and still counts as a
-     hit on both axes *)
+  (* the global QP's cache: a hit (builder pre-sized from the captured
+     structure) is bit-identical to a fresh freeze and counts as one hit:
+     both axes share the one matrix *)
   let movable = Qp.all_movable nl in
   let global ?cache () =
     Netmodel.assemble nl pos ?cache ~movable ~clique_max_degree:3
@@ -326,9 +326,9 @@ let test_netmodel_workspace_reuse () =
       let cache = Netmodel.create_cache () in
       let first = global ~cache () in
       let hit = global ~cache () in
-      Alcotest.(check int) "one capture per axis" 2
+      Alcotest.(check int) "one capture per system" 1
         (Fbp_obs.Obs.counter_value "netmodel.refreeze_misses");
-      Alcotest.(check int) "then one hit per axis" 2
+      Alcotest.(check int) "then one hit per system" 1
         (Fbp_obs.Obs.counter_value "netmodel.refreeze_hits");
       let fresh = global () in
       check_same_system "captured = fresh" fresh first;
@@ -339,28 +339,40 @@ let test_netmodel_workspace_allocation () =
   let nl = d.Design.netlist and pos = d.Design.initial in
   let n = Netlist.n_cells nl in
   let cell_nets = Netlist.cell_nets nl in
-  let cells = range 5000 16 in
-  let nets = node_nets cell_nets cells in
   let ws = Netmodel.create_workspace () in
   let anchor _ = pull in
-  let assemble () =
-    ignore
-      (Netmodel.assemble nl pos ~workspace:ws ~movable:cells ~nets
-         ~clique_max_degree:3 ~anchor ())
-  in
-  assemble ();  (* warm-up: the workspace grows to this design *)
   let words () =
     let minor, promoted, major = Gc.counters () in
     minor +. major -. promoted
   in
-  let before = words () in
-  assemble ();
-  let allocated = words () -. before in
-  Alcotest.(check bool)
-    (Printf.sprintf "16-cell node allocates %.0f words, fewer than the %d cells"
-       allocated n)
-    true
-    (allocated < float_of_int n)
+  let check_node what cells =
+    let nets = node_nets cell_nets cells in
+    let assemble () =
+      ignore
+        (Netmodel.assemble nl pos ~workspace:ws ~movable:cells ~nets
+           ~clique_max_degree:3 ~anchor ())
+    in
+    assemble ();  (* warm-up: the workspace grows to this design *)
+    let before = words () in
+    assemble ();
+    let allocated = words () -. before in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s allocates %.0f words, fewer than the %d cells" what
+         allocated n)
+      true
+      (allocated < float_of_int n)
+  in
+  check_node "16-cell node" (range 5000 16);
+  (* a node whose cells have no net: an empty net list means no nets, not
+     every net of the design *)
+  let pinless =
+    List.filter (fun c -> cell_nets.(c) = []) (List.init n Fun.id)
+    |> List.filteri (fun i _ -> i < 16)
+    |> Array.of_list
+  in
+  Alcotest.(check bool) "the design has pin-less cells" true
+    (Array.length pinless > 0);
+  check_node "pin-less node" pinless
 
 let test_netmodel_workspace_exception_safe () =
   let d = Generator.quick ~seed:13 2000 in
@@ -397,6 +409,19 @@ let test_netmodel_workspace_exception_safe () =
     (assemble ~anchor next) (assemble ~workspace:ws ~anchor next);
   check_same_system "the aborted node itself: reused = fresh"
     (assemble ~anchor aborted) (assemble ~workspace:ws ~anchor aborted)
+
+(* Both axes share one matrix, so an anchor must pull with one weight. *)
+let test_netmodel_rejects_axis_weights () =
+  let d = Generator.quick ~seed:14 200 in
+  let nl = d.Design.netlist and pos = d.Design.initial in
+  let assemble anchor =
+    Netmodel.assemble nl pos ~movable:(Qp.all_movable nl)
+      ~clique_max_degree:3 ~anchor ()
+  in
+  ignore (assemble (fun _ -> Some (1e-4, 1.0, 1e-4, 2.0)));
+  match assemble (fun _ -> Some (1e-4, 1.0, 2e-4, 2.0)) with
+  | _ -> Alcotest.fail "expected Invalid_argument for wx <> wy"
+  | exception Invalid_argument _ -> ()
 
 (* ---------- Realization + placer ---------- *)
 
@@ -657,6 +682,8 @@ let suite =
     Alcotest.test_case "netmodel workspace reuse" `Quick test_netmodel_workspace_reuse;
     Alcotest.test_case "netmodel workspace allocation" `Quick
       test_netmodel_workspace_allocation;
+    Alcotest.test_case "netmodel rejects per-axis anchor weights" `Quick
+      test_netmodel_rejects_axis_weights;
     Alcotest.test_case "netmodel workspace exception safe" `Quick
       test_netmodel_workspace_exception_safe;
     Alcotest.test_case "fbp model size linear in windows" `Quick test_fbp_model_size_linear;
